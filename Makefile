@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race test-race-fleet test-allocs test-traced test-golden-par test-sharded bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
+.PHONY: build test test-short test-race test-allocs test-traced test-sharded bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
 
 build:
 	$(GO) build ./...
@@ -17,15 +17,6 @@ test-short:
 # behind the plain test step.
 test-race:
 	$(GO) test -race ./...
-
-# Race-detector stress for the parallel flush engine at fleet scale: a
-# 128-machine cluster with 8 flush workers, so the prepare/merge handoff
-# sees real contention (128 independent components going dirty in
-# overlapping instants). Also runs inside `test-race` via ./...; this named
-# step keeps the parallel engine's race coverage visible and gating even if
-# the full-suite run is ever trimmed.
-test-race-fleet:
-	$(GO) test -race -run 'TestFleet128Parallel' -count=1 ./internal/cluster
 
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
@@ -59,14 +50,6 @@ test-traced:
 test-sharded:
 	NUMADAG_SHARDED=1 $(GO) test -run 'TestShardedSweepCLI' -count=1 .
 
-# Parallel-flush determinism gate: the full golden sweep with the engine's
-# worker pool on (NUMADAG_PAR=8) must reproduce the sequentially-recorded
-# goldens byte for byte — the parallel flush determinism contract (package
-# sim). CI matrixes the golden job over NUMADAG_PAR={1,8}; this target is
-# the local equivalent of the par=8 leg.
-test-golden-par:
-	NUMADAG_PAR=8 $(GO) test -run 'TestDeterminismGolden$$' -count=1 .
-
 vet:
 	$(GO) vet ./...
 
@@ -76,10 +59,10 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# Mirrors the blocking steps of .github/workflows/ci.yml (the race and
-# golden-par jobs run in parallel there; fuzz-smoke is non-blocking and
-# nightly.yml tracks the benchmark trajectory).
-ci: fmt-check build vet test test-race test-race-fleet test-allocs test-traced test-sharded test-golden-par
+# Mirrors the blocking steps of .github/workflows/ci.yml (the race job runs
+# in parallel there; fuzz-smoke is non-blocking and nightly.yml tracks the
+# benchmark trajectory).
+ci: fmt-check build vet test test-race test-allocs test-traced test-sharded
 
 # Full benchmark families (paper figures + ablations).
 bench:
@@ -110,13 +93,15 @@ bench-check:
 # reference), the fluid network's full-vs-incremental reallocation contract
 # (batched CSR/worklist fill vs the eager naive ladder), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
-# tenant-skewed rates must never stall or reorder the shared clock). The
-# seed corpora also run in plain `make test`; CI uploads any new crashers as
-# workflow artifacts.
+# tenant-skewed rates must never stall or reorder the shared clock), and
+# the shard wire decoders (no panic on arbitrary bytes; every accepted line
+# re-encodes byte for byte). The seed corpora also run in plain `make test`;
+# CI uploads any new crashers as workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
+	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/shard
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must
 # survive a clean.

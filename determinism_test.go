@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"numadag"
@@ -36,24 +35,6 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/determinism.json")
-
-// goldenParallelism reads NUMADAG_PAR: the engine flush parallelism every
-// golden cell runs at. The goldens were recorded sequentially and the
-// parallel flush determinism contract (package sim) promises bit-identical
-// results at every level, so CI matrixes this env over {1, 8} against the
-// same golden file — a diff at any value is a broken merge, not a new
-// baseline.
-func goldenParallelism(t testing.TB) int {
-	v := os.Getenv("NUMADAG_PAR")
-	if v == "" {
-		return 1
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		t.Fatalf("bad NUMADAG_PAR=%q", v)
-	}
-	return n
-}
 
 // goldenEntry is one (app, policy, seed) cell of the golden table. Cluster
 // cells additionally pin the completion stream digest; single-run cells
@@ -97,10 +78,6 @@ func runCell(t testing.TB, spec, polName string, seed uint64) goldenEntry {
 		t.Fatal(err)
 	}
 	eng := numadag.NewEngine()
-	if par := goldenParallelism(t); par > 1 {
-		eng.SetParallelism(par)
-		defer eng.SetParallelism(1)
-	}
 	m := numadag.NewMachine(machine.BullionS16(), eng)
 	opts := rt.DefaultOptions()
 	opts.Seed = seed
@@ -148,9 +125,7 @@ func clusterGoldenConfig(dispatcher string, seed uint64) cluster.Config {
 }
 
 func runClusterCell(t testing.TB, dispatcher string, seed uint64) goldenEntry {
-	cfg := clusterGoldenConfig(dispatcher, seed)
-	cfg.Parallelism = goldenParallelism(t)
-	res, err := cluster.Run(cfg)
+	res, err := cluster.Run(clusterGoldenConfig(dispatcher, seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,3 +195,70 @@ func TestMonitorSnapshotAndEndpoints(t *testing.T) {
 		t.Errorf("/status before a run returned %d, want 503", rec.Code)
 	}
 }
+
+// submitProbe reads the monitor's snapshot from inside the observer chain.
+// User observers run before the monitor for each event, so at our
+// JobDispatch callback the monitor has processed this job's submit but NOT
+// its dispatch — if the snapshot already counts the submission, it was
+// published at submit time, which is exactly the regression this pins
+// (Monitor.JobSubmit used to be a no-op, leaving /status blind to
+// submitted-but-queued load until dispatch).
+type submitProbe struct {
+	mon        *Monitor
+	submits    int
+	atDispatch []int // snapshot's JobsSubmitted at each dispatch
+}
+
+func (p *submitProbe) JobSubmit(j *Job) { p.submits++ }
+func (p *submitProbe) JobDispatch(j *Job, cands []int, queued int) {
+	if s := p.mon.Snapshot(); s != nil {
+		p.atDispatch = append(p.atDispatch, s.JobsSubmitted)
+	}
+}
+func (p *submitProbe) JobStart(j *Job, queued int) {}
+func (p *submitProbe) JobComplete(j *Job)          {}
+
+// TestMonitorPublishesOnSubmit pins the JobSubmit bugfix from inside the
+// run and over HTTP: the snapshot visible at a job's dispatch already
+// counts that job's submission, and the final /status JSON reports the full
+// submitted count.
+func TestMonitorPublishesOnSubmit(t *testing.T) {
+	cfg := testConfig(40)
+	mon := NewMonitor(nil)
+	cfg.Monitor = mon
+	probe := &submitProbe{mon: mon}
+	cfg.Observer = probe
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.atDispatch) == 0 {
+		t.Fatal("probe saw no dispatches")
+	}
+	for i, got := range probe.atDispatch {
+		// Dispatch i happens after submit i+1 was published (submits and
+		// dispatches alternate within arrive), so the snapshot must already
+		// count at least that many submissions — and at most the total seen.
+		if got < i+1 || got > probe.submits {
+			t.Fatalf("dispatch %d: snapshot counts %d submitted, want in [%d, %d] — submit not published before dispatch",
+				i, got, i+1, probe.submits)
+		}
+	}
+	snap := mon.Snapshot()
+	if snap.JobsSubmitted != len(res.Jobs) {
+		t.Errorf("final snapshot counts %d submitted, run had %d jobs", snap.JobsSubmitted, len(res.Jobs))
+	}
+
+	rec := httptest.NewRecorder()
+	mon.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/status returned %d", rec.Code)
+	}
+	var decoded MonitorSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
+		t.Fatalf("/status is not valid JSON: %v", err)
+	}
+	if decoded.JobsSubmitted != len(res.Jobs) {
+		t.Errorf("/status reports %d submitted, run had %d jobs", decoded.JobsSubmitted, len(res.Jobs))
+	}
+}

@@ -76,7 +76,8 @@ func TestRunDeterministic(t *testing.T) {
 func TestFigure1SmallShape(t *testing.T) {
 	// The load-bearing reproduction check at CI-friendly scale: directional
 	// claims of the paper's Figure 1 must hold. Absolute factors are checked
-	// loosely; EXPERIMENTS.md records the paper-scale numbers.
+	// loosely; the paper-scale numbers are the fidelity rows that
+	// cmd/figure1 and perfbench print beside the paper's values.
 	if testing.Short() {
 		t.Skip("multi-run simulation")
 	}

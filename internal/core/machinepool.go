@@ -91,12 +91,6 @@ func acquireMachine(cfg machine.Config) *machine.Machine {
 // that captured it, a post-run utilization probe) means the run should skip
 // the release and let the machine be garbage.
 func releaseMachine(m *machine.Machine) {
-	// A pooled machine must not park flush-worker goroutines (sync.Pool may
-	// drop it at any GC, which would strand them forever); retire the pool
-	// before Put. No-op for the common sequential engine. Re-acquirers that
-	// want parallelism set it again — spawning n-1 goroutines is trivia next
-	// to a run.
-	m.Engine().SetParallelism(1)
 	m.Reset()
 	cfg := m.Config()
 	if p, ok := machinePools.Load(keyOf(&cfg)); ok {

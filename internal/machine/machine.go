@@ -256,15 +256,6 @@ func (m *Machine) Engine() *sim.Engine { return m.eng }
 // Net returns the fluid-flow network (exposed for statistics).
 func (m *Machine) Net() *sim.Net { return m.net }
 
-// ComponentID returns the engine flush-component id of the machine's fluid
-// network. Each machine owns exactly one Net, and every Resource it contends
-// on (controllers, ports) is created through that Net and shared with no
-// other machine — so the machine is one independent component of the
-// engine's parallel end-of-instant flush, and its id orders the
-// deterministic merge (ascending in machine-construction order on a shared
-// engine). See the parallel flush determinism contract in package sim.
-func (m *Machine) ComponentID() int { return m.net.ComponentID() }
-
 // Resources returns every contended resource the machine owns — its
 // per-socket memory controllers followed by its interconnect ports. The
 // slice is freshly allocated; the Resources themselves are the machine's

@@ -137,6 +137,34 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonCanonical pins the canonical-input rule: a line that
+// parses as JSON but differs from its own re-encoding is rejected, so
+// accepted lines always round-trip byte for byte.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	data := runShard(t, shard.Spec{})
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	hdr, rec := lines[0], lines[1]
+	if _, err := shard.DecodeHeader(hdr); err != nil {
+		t.Fatalf("canonical header rejected: %v", err)
+	}
+	if _, err := shard.Decode(rec); err != nil {
+		t.Fatalf("canonical record rejected: %v", err)
+	}
+	for name, mutate := range map[string]func([]byte) []byte{
+		"space":       func(b []byte) []byte { return bytes.Replace(b, []byte(`"v":1`), []byte(`"v": 1`), 1) },
+		"case-folded": func(b []byte) []byte { return bytes.Replace(b, []byte(`"v":1`), []byte(`"V":1`), 1) },
+		"unknown key": func(b []byte) []byte { return bytes.Replace(b, []byte(`"v":1,`), []byte(`"v":1,"x":0,`), 1) },
+		"long number": func(b []byte) []byte { return bytes.Replace(b, []byte(`"total":4`), []byte(`"total":4.0`), 1) },
+	} {
+		if _, err := shard.DecodeHeader(mutate(hdr)); err == nil {
+			t.Errorf("%s: non-canonical header accepted", name)
+		}
+	}
+	if _, err := shard.Decode(bytes.Replace(rec, []byte(`"v":1,`), []byte(`"v":1,"v":1,`), 1)); err == nil {
+		t.Error("record with a duplicate key accepted")
+	}
+}
+
 // runShard computes one shard's wire stream in-process.
 func runShard(t *testing.T, sp shard.Spec) []byte {
 	t.Helper()

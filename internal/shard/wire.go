@@ -19,8 +19,9 @@ import (
 // rename or semantic change bumps the version, and future readers must
 // keep decoding every released version — v1 journals stay mergeable
 // forever. Encoding is canonical (fixed field order, Go's shortest
-// round-trip float formatting), so encode(decode(line)) reproduces the
-// line byte-for-byte and a journal can be re-encoded without drift.
+// round-trip float formatting), and the decoders accept only canonical
+// lines, so encode(decode(line)) reproduces every accepted line
+// byte-for-byte and a journal can be re-encoded without drift.
 const WireVersion = 1
 
 // Header is the first line of every journal/shard stream. It binds the
@@ -148,7 +149,7 @@ func Encode(res core.CellResult) ([]byte, error) {
 }
 
 // Decode parses one wire line (trailing newline optional) produced by
-// Encode, rejecting unknown wire versions.
+// Encode, rejecting unknown wire versions and non-canonical lines.
 func Decode(line []byte) (core.CellResult, error) {
 	var r Record
 	if err := json.Unmarshal(line, &r); err != nil {
@@ -157,7 +158,25 @@ func Decode(line []byte) (core.CellResult, error) {
 	if r.V != WireVersion {
 		return core.CellResult{}, fmt.Errorf("shard: record wire version %d, this reader knows %d", r.V, WireVersion)
 	}
+	if err := checkCanonical("record", line, r); err != nil {
+		return core.CellResult{}, err
+	}
 	return r.CellResult(), nil
+}
+
+// checkCanonical rejects a parsed line that is not byte-identical to the
+// re-encoding of what it parsed to: extra whitespace, reordered, unknown,
+// duplicate or case-folded keys, explicit empty or null lists, and
+// non-shortest numbers all parse but would not survive a round trip.
+func checkCanonical(what string, line []byte, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("shard: re-encode %s: %w", what, err)
+	}
+	if !bytes.Equal(b, bytes.TrimSuffix(line, []byte("\n"))) {
+		return fmt.Errorf("shard: %s line is not in canonical wire form", what)
+	}
+	return nil
 }
 
 // EncodeHeader renders a stream header line (newline included).
@@ -171,7 +190,8 @@ func EncodeHeader(h Header) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeHeader parses a stream's header line.
+// DecodeHeader parses a stream's header line (trailing newline optional),
+// rejecting foreign kinds, unknown wire versions and non-canonical lines.
 func DecodeHeader(line []byte) (Header, error) {
 	var h Header
 	if err := json.Unmarshal(line, &h); err != nil {
@@ -182,6 +202,9 @@ func DecodeHeader(line []byte) (Header, error) {
 	}
 	if h.V != WireVersion {
 		return Header{}, fmt.Errorf("shard: stream wire version %d, this reader knows %d", h.V, WireVersion)
+	}
+	if err := checkCanonical("header", line, h); err != nil {
+		return Header{}, err
 	}
 	return h, nil
 }

@@ -52,20 +52,6 @@ if [ "$drift" != "0" ]; then
   rm -f /tmp/bench_base_ns.$$ /tmp/bench_cand_ns.$$
 fi
 
-# Parallel flush engine report (warn-only, like all ns/op numbers): the
-# par=8 / par=1 ratio of the fleet-scale cluster benchmark is the parallel
-# engine's headline speedup on this host. Single-core runners legitimately
-# report ~1.0x (no cores to overlap prepares on), so this informs the
-# nightly log rather than gating.
-extract_nsop "$candidate" | awk '
-  $1 == "BenchmarkClusterTickFleet/par=1" { seq = $2 }
-  $1 == "BenchmarkClusterTickFleet/par=8" { par = $2 }
-  END {
-    if (seq > 0 && par > 0)
-      printf "parallel flush: BenchmarkClusterTickFleet par=1 %s ns/op, par=8 %s ns/op (%.2fx)\n",
-        seq, par, seq / par
-  }'
-
 status=0
 while read -r name allocs; do
   base=$(awk -v n="$name" '$1 == n { print $2 }' /tmp/bench_base.$$)
