@@ -91,17 +91,20 @@ bench-check:
 
 # Short coverage-guided fuzz of the FM refiner (gain-bucket vs heap
 # reference), the fluid network's full-vs-incremental reallocation contract
-# (batched CSR/worklist fill vs the eager naive ladder), and the cluster's
-# arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
-# tenant-skewed rates must never stall or reorder the shared clock), and
-# the shard wire decoders (no panic on arbitrary bytes; every accepted line
-# re-encodes byte for byte). The seed corpora also run in plain `make test`;
+# (batched incremental fill vs the eager naive ladder, every state checked
+# for max-min optimality), the cluster's arrival/dispatch loop (bursty
+# same-instant arrivals, zero-length jobs and tenant-skewed rates must never
+# stall or reorder the shared clock), the shard wire decoders (no panic on
+# arbitrary bytes; every accepted line re-encodes byte for byte), and the
+# workload spec parser (no panic; every accepted spec round-trips through
+# its canonical rendering). The seed corpora also run in plain `make test`;
 # CI uploads any new crashers as workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/shard
+	$(GO) test -fuzz=FuzzParseSpec -fuzztime=15s ./internal/workload
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must
 # survive a clean.

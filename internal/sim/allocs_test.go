@@ -9,8 +9,8 @@ import (
 // `make test-allocs` and the CI allocs gate. Together with
 // TestFlowChurnSteadyStateAllocs (bench_test.go) they assert that steady-
 // state operation — including the deferred/batched reallocation path —
-// allocates nothing: event slots, Flow structs, CSR crossing lists and
-// worklists are all recycled.
+// allocates nothing: event slots, Flow structs, crossing lists, per-slot
+// fill arrays and worklists are all recycled.
 
 // TestBatchedFanoutSteadyStateAllocs pins the batching path: bursts of
 // same-instant starts over multiple sockets' resource pairs, flushed once
@@ -45,7 +45,7 @@ func TestBatchedFanoutSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 32; i++ {
-		burst(i) // warm flow pool, event arena, CSR and worklist scratch
+		burst(i) // warm flow pool, event arena, crossing lists and fill scratch
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {

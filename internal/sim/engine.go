@@ -28,9 +28,10 @@
 //     Stop removes the slot from the heap immediately — the heap never holds
 //     cancelled events, so Pending is len(heap) and Step never skips.
 //   - Net keeps active flows in a dense slice ordered by ascending flow ID
-//     (the deterministic iteration order), reuses per-resource scratch
-//     buffers across reallocate calls, and answers "does flow f cross
-//     resource r" with a bitset when the network has at most 64 resources.
+//     (the deterministic iteration order), and every Resource keeps the
+//     list of flows crossing it, in the same order, updated as flows start
+//     and finish. Per-fill scratch — per-resource and per-flow-slot
+//     arrays — is reused across fills.
 //   - Finished Flow structs are recycled through a free list; a *Flow handle
 //     is valid for inspection until the next StartFlow call on the same Net
 //     after the flow completes.
@@ -47,12 +48,12 @@
 //     RequestFlush) once per instant, sequentially in registration order,
 //     just before the clock advances — so a task fanning out transfers, or
 //     a wave of same-nanosecond completions, pays for one max-min
-//     redistribution instead of one per event. The
-//     water-filling pass walks per-resource crossing lists (CSR) and
-//     shrinking worklists instead of rescanning all resources x all flows
-//     per round, executing bit-for-bit the float operations of the naive
-//     ladder it replaced (kept as a test-only reference and enforced by the
-//     equivalence suite and FuzzReallocate).
+//     redistribution instead of one per event. The water-filling pass walks
+//     the crossing lists, dense per-slot arrays and shrinking worklists
+//     instead of rescanning all resources x all flows per round, executing
+//     bit-for-bit the float operations of the naive ladder it replaced
+//     (kept as a test-only reference and enforced by the equivalence suite
+//     and FuzzReallocate).
 //
 // # Determinism contract
 //

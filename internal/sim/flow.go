@@ -13,7 +13,11 @@ type Resource struct {
 	id       int
 	name     string
 	capacity float64 // bytes/ns
-	flows    int     // active flows crossing this resource (bookkeeping)
+
+	// crossing lists the active flows whose path includes this resource, in
+	// ascending flow-id order, once per path occurrence. StartFlow appends,
+	// finish and Reset remove; the water-filling pass only reads it.
+	crossing []*Flow
 
 	// Utilization accounting: byte-time integral of allocated rate.
 	carried    float64 // total bytes carried so far
@@ -56,7 +60,21 @@ func (r *Resource) Rate() float64 { return r.rate }
 func (r *Resource) Capacity() float64 { return r.capacity }
 
 // ActiveFlows returns the number of flows currently crossing the resource.
-func (r *Resource) ActiveFlows() int { return r.flows }
+func (r *Resource) ActiveFlows() int { return len(r.crossing) }
+
+// dropFlow removes one occurrence of f from the crossing list, keeping the
+// ascending-id order.
+func (r *Resource) dropFlow(f *Flow) {
+	c := r.crossing
+	for i, g := range c {
+		if g == f {
+			copy(c[i:], c[i+1:])
+			c[len(c)-1] = nil
+			r.crossing = c[:len(c)-1]
+			return
+		}
+	}
+}
 
 // Flow is an in-flight transfer of a byte volume across a path of resources.
 //
@@ -72,16 +90,13 @@ type Flow struct {
 	rate       float64 // bytes/ns, current max-min allocation
 	maxRate    float64 // per-flow rate cap (source concurrency limit)
 	path       []*Resource
-	mask       uint64 // bitset over path resource IDs; valid when !wide
-	wide       bool   // some path resource has id >= 64: fall back to scans
 	lastUpdate Time
 	done       func()
 	net        *Net
 	finished   bool
 
 	// Reallocation / completion-tracking state, owned by Net.
-	frozen   bool   // scratch flag for the water-filling loop
-	idx      int    // position in Net.active
+	idx      int    // position in Net.active: the flow's slot in the fill arrays
 	deadline Time   // completion event time as of the last reallocation
 	dseq     uint64 // tiebreaker mirroring engine event seq order
 	starved  bool   // rate is 0 (or non-finite volume math): no deadline
@@ -123,24 +138,6 @@ func (f *Flow) Rate() float64 {
 	return f.rate
 }
 
-// crosses reports whether the flow's path includes r — a bitset test when
-// every path resource has an ID below 64 (always true for the machines the
-// paper evaluates: 2 resources per socket), a linear scan otherwise.
-func (f *Flow) crosses(r *Resource) bool {
-	if !f.wide {
-		if r.id >= 64 {
-			return false
-		}
-		return f.mask&(1<<uint(r.id)) != 0
-	}
-	for _, rr := range f.path {
-		if rr == r {
-			return true
-		}
-	}
-	return false
-}
-
 // Net is a fluid-flow network bound to an Engine. All methods must be called
 // from the engine goroutine (the simulator is single-threaded by design).
 //
@@ -162,18 +159,28 @@ func (f *Flow) crosses(r *Resource) bool {
 // TestSameInstantTieOrderMatchesEager). Rates become observable only
 // between instants, or through Flow.Rate/Remaining, which force the flush.
 //
-// The fill itself stays a whole-network water-filling pass, restructured so
-// its cost tracks the flows that actually cross contended resources
-// (per-resource crossing lists and shrinking worklists replace the historic
-// all-resources x all-flows scans) while executing bit-for-bit the float
-// operations of the naive ladder — the determinism goldens pin simulated
-// physics down to the nanosecond, so the optimised fill must be exactly
-// equivalent, and the equivalence suite and FuzzReallocate hold it to the
-// test-only reference implementation.
+// The fill itself stays a whole-network water-filling pass that executes
+// bit-for-bit the float operations of the naive ladder — the determinism
+// goldens pin simulated physics down to the nanosecond, so the fill must be
+// exactly equivalent, and the equivalence suite and FuzzReallocate hold it
+// to the test-only reference implementation. Its cost tracks the flows that
+// cross contended resources instead of all-resources x all-flows scans:
+//
+//   - Every Resource keeps its crossing list (the active flows whose path
+//     includes it, ascending flow id) up to date as flows start and finish,
+//     so a fill never rebuilds one. A bottleneck resource freezes exactly
+//     the flows on its own list.
+//   - Per-fill flow state — cap, rate, frozen — lives in dense arrays
+//     indexed by flow slot (Flow.idx, the position in the active slice), so
+//     the cap-freeze round scans flat arrays, not *Flow structs.
+//   - Shrinking worklists of unfrozen slots and of resources that still
+//     carry unfrozen flows replace the full scans, a resource's share is
+//     recomputed only after a freeze touched it, and the cap-freeze round is
+//     skipped while the smallest unfrozen cap is above the share.
 //
 // A further restriction — water-filling only the connected component of
 // resources the changed flow crosses, leaving other components' rates
-// untouched — is deliberately NOT done, although the path bitsets make it
+// untouched — is deliberately NOT done, although the crossing lists make it
 // cheap: with per-flow rate caps the historical global ladder freezes
 // cap-bound flows in rounds driven by the global minimum share, so another
 // component's share can split one component's cap-freeze batch and change
@@ -190,18 +197,18 @@ type Net struct {
 	freeFlows []*Flow // recycled Flow structs
 	nextFlow  int
 
-	// Scratch buffers reused by the water-filling passes. residual,
-	// unfrozen and sums have len == len(resources). csrStart/csrFlows hold
-	// the per-resource crossing lists in CSR layout; liveRes and liveFlows
-	// are the shrinking round worklists.
-	residual  []float64
-	unfrozen  []int
-	sums      []float64
-	csrStart  []int32 // len == len(resources)+1; bucket r is [csrStart[r], csrStart[r+1])
-	csrCur    []int32 // fill cursors, len == len(resources)
-	csrFlows  []*Flow // flattened buckets, ascending flow id within each
-	liveRes   []int32 // resource ids with unfrozen flows, ascending
-	liveFlows []*Flow // unfrozen flows, ascending id
+	// Per-resource fill scratch, indexed by resource id. liveRes is the
+	// round worklist of resources with unfrozen flows, ascending id.
+	rf      []resFill
+	liveRes []int32
+
+	// Per-slot fill state, indexed by Flow.idx; len == the peak active
+	// count, so a fill never allocates. live is the round worklist of
+	// unfrozen slots, ascending (= ascending flow id).
+	caps   []float64
+	rates  []float64
+	frozen []bool
+	live   []int32
 
 	// Deferred-reallocation state. batch controls same-instant coalescing:
 	// when false every churn event flushes immediately (one redistribution
@@ -238,6 +245,14 @@ type Net struct {
 	onFlowEnd   func(*Flow)
 }
 
+// resFill is one resource's water-filling state during a fill.
+type resFill struct {
+	residual float64 // capacity not yet claimed by frozen flows
+	share    float64 // residual/unfrozen, valid while !stale
+	unfrozen int     // crossing-list entries whose flow is not yet frozen
+	stale    bool    // a freeze touched the resource since share was computed
+}
+
 // NewNet creates an empty flow network driven by eng and registers its
 // end-of-instant flush with the engine.
 func NewNet(eng *Engine) *Net {
@@ -256,10 +271,8 @@ func (n *Net) NewResource(name string, capacity float64) *Resource {
 	}
 	r := &Resource{id: len(n.resources), name: name, capacity: capacity}
 	n.resources = append(n.resources, r)
-	n.residual = append(n.residual, 0)
-	n.unfrozen = append(n.unfrozen, 0)
-	n.sums = append(n.sums, 0)
-	n.csrCur = append(n.csrCur, 0)
+	n.rf = append(n.rf, resFill{})
+	n.liveRes = append(n.liveRes, 0)
 	return r
 }
 
@@ -334,18 +347,17 @@ func (n *Net) StartFlowCapped(bytes float64, path []*Resource, maxRate float64, 
 		done:       done,
 		net:        n,
 	}
-	for _, r := range f.path {
-		if r.id >= 64 {
-			f.wide = true
-			break
-		}
-		f.mask |= 1 << uint(r.id)
-	}
 	n.progressAll()
 	f.idx = len(n.active)
 	n.active = append(n.active, f) // ids are monotonic: append keeps order
+	if len(n.active) > len(n.caps) {
+		n.caps = append(n.caps, 0)
+		n.rates = append(n.rates, 0)
+		n.frozen = append(n.frozen, false)
+		n.live = append(n.live, 0)
+	}
 	for _, r := range f.path {
-		r.flows++
+		r.crossing = append(r.crossing, f) // ascending id, as for active
 	}
 	n.noteChurn()
 	if n.onFlowStart != nil {
@@ -381,17 +393,20 @@ func (n *Net) progressAll() {
 	}
 }
 
-// freezeFlow fixes a flow's rate and removes its demand from the residual
-// capacities. Part of the water-filling loop in reallocate.
-func (n *Net) freezeFlow(f *Flow, rate float64) {
-	f.rate = rate
-	f.frozen = true
-	for _, rr := range f.path {
-		n.residual[rr.id] -= rate
-		if n.residual[rr.id] < 0 {
-			n.residual[rr.id] = 0
+// freeze fixes the rate of the flow in slot i (crossing path) and removes
+// its demand from the residual capacities, marking each touched resource's
+// cached share stale. Part of the water-filling loop in waterfill.
+func (n *Net) freeze(i int, path []*Resource, rate float64) {
+	n.rates[i] = rate
+	n.frozen[i] = true
+	for _, rr := range path {
+		r := &n.rf[rr.id]
+		r.residual -= rate
+		if r.residual < 0 {
+			r.residual = 0
 		}
-		n.unfrozen[rr.id]--
+		r.unfrozen--
+		r.stale = true
 	}
 }
 
@@ -444,23 +459,29 @@ func (n *Net) flush() {
 	n.fill(now)
 	// Assign fresh completion deadlines in flow-ID order — mirroring the
 	// (time, seq) order per-flow timers would have been scheduled in — and
-	// arm the single completion event for the earliest one. The pass covers
-	// every active flow, not only those whose rate changed: the historical
-	// ladder recomputed every deadline from the current instant, and the
-	// ceil-rounding of remaining/rate depends on that instant, so skipping
-	// a flow here could drift its deadline a nanosecond from the reference.
+	// pick the earliest (deadline, dseq) in the same pass: dseq ascends with
+	// the visit order, so the first flow at the smallest deadline wins. The
+	// pass covers every active flow, not only those whose rate changed: the
+	// historical ladder recomputed every deadline from the current instant,
+	// and the ceil-rounding of remaining/rate depends on that instant, so
+	// skipping a flow here could drift its deadline a nanosecond from the
+	// reference.
+	var best *Flow
 	for _, f := range n.active {
 		dt, ok := completionDelay(f.remaining, f.rate)
 		n.dcounter++
 		f.dseq = n.dcounter
 		f.starved = !ok
-		if ok {
-			f.deadline = now + dt
+		if !ok {
+			continue
+		}
+		f.deadline = now + dt
+		if best == nil || f.deadline < best.deadline {
+			best = f
 		}
 	}
 	// Move the placeholder claimed by the last churn to the real deadline,
 	// keeping its seq (see noteChurn).
-	best := n.earliestDue()
 	if best == nil {
 		n.pending.Stop()
 		n.pending = Timer{}
@@ -480,70 +501,48 @@ func (n *Net) flush() {
 //
 // Water-filling: repeatedly find the binding constraint — either the
 // bottleneck resource (smallest per-unfrozen-flow fair share) or an unfrozen
-// flow whose own cap is below that share — freeze the affected flows,
+// flow whose own cap is at or below that share — freeze the affected flows,
 // subtract their consumption from every resource they cross, repeat.
 //
 // The pass is bit-for-bit equivalent to the naive ladder (kept as the
 // test-only referenceWaterfill): identical float operations in identical
-// order. What changed is the scan structure, which the profile said was the
-// hot spot, not the arithmetic:
+// order. Only the scanning differs (see Net, "Incremental reallocation"),
+// and each shortcut leaves the arithmetic alone:
 //
-//   - Per-resource crossing lists in CSR layout (rebuilt per flush in two
-//     passes over the active flows, so every bucket is in ascending flow-id
-//     order) replace the all-flows scan + crosses() test when a bottleneck
-//     resource freezes its flows.
-//   - A shrinking worklist of unfrozen flows (stable-filtered, so ascending
-//     id order is preserved) replaces the all-flows scan of the cap-freeze
-//     round.
-//   - A shrinking worklist of resources with unfrozen flows replaces the
-//     all-resources scans of the share minimum and the freeze pass.
+//   - A cached share is reused only while no freeze has touched its
+//     resource, so it is the quotient of the operands the ladder divides.
+//   - minCap is the smallest cap among the unfrozen at the last cap scan.
+//     Freezing only removes flows, so it stays a lower bound, and while it
+//     is above the share no flow can be cap-bound: skipping the scan skips
+//     no freeze.
+//   - Crossing lists and the unfrozen-slot worklist are in ascending flow
+//     id, the order the ladder visits flows in.
 //
 // Everything runs on per-Net scratch buffers: no allocation, no map
-// iteration, no sorting. Flows are visited in ascending ID order and
-// resources in ascending id order, which both makes runs bit-reproducible
-// and matches the order completion timers were historically scheduled in.
+// iteration, no sorting.
 func (n *Net) waterfill(now Time) {
-	residual, unfrozen := n.residual, n.unfrozen
-	if len(n.csrStart) != len(n.resources)+1 {
-		n.csrStart = make([]int32, len(n.resources)+1)
-	}
-	start, cur := n.csrStart, n.csrCur
-	for i, r := range n.resources {
-		residual[i] = r.capacity
-		unfrozen[i] = 0
-		start[i+1] = 0
-	}
-	for _, f := range n.active {
-		for _, r := range f.path {
-			start[r.id+1]++
+	nf := len(n.active)
+	caps, rates, frozen := n.caps[:nf], n.rates[:nf], n.frozen[:nf]
+	live := n.live[:nf]
+	minCap := math.Inf(1)
+	for i, f := range n.active {
+		c := f.maxRate
+		caps[i] = c
+		frozen[i] = false
+		live[i] = int32(i)
+		if c < minCap {
+			minCap = c
 		}
 	}
-	for i := 1; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	total := int(start[len(start)-1])
-	if cap(n.csrFlows) < total {
-		n.csrFlows = make([]*Flow, total)
-	}
-	csr := n.csrFlows[:total]
-	copy(cur, start[:len(cur)])
-	lf := n.liveFlows[:0]
-	for _, f := range n.active {
-		f.frozen = false
-		lf = append(lf, f)
-		for _, r := range f.path {
-			unfrozen[r.id]++
-			csr[cur[r.id]] = f
-			cur[r.id]++
-		}
-	}
+	rf := n.rf
 	lr := n.liveRes[:0]
-	for id := range n.resources {
-		if unfrozen[id] > 0 {
+	for id, r := range n.resources {
+		rf[id] = resFill{residual: r.capacity, unfrozen: len(r.crossing), stale: true}
+		if len(r.crossing) > 0 {
 			lr = append(lr, int32(id))
 		}
 	}
-	left := len(n.active)
+	left := nf
 	for left > 0 {
 		// Bottleneck-resource share, over resources that still carry
 		// unfrozen flows (compacted in place; a resource whose flows all
@@ -551,66 +550,86 @@ func (n *Net) waterfill(now Time) {
 		share := math.Inf(1)
 		k := 0
 		for _, id := range lr {
-			if unfrozen[id] == 0 {
+			r := &rf[id]
+			if r.unfrozen == 0 {
 				continue
 			}
 			lr[k] = id
 			k++
-			if s := residual[id] / float64(unfrozen[id]); s < share {
-				share = s
+			if r.stale {
+				r.share = r.residual / float64(r.unfrozen)
+				r.stale = false
+			}
+			if r.share < share {
+				share = r.share
 			}
 		}
 		lr = lr[:k]
 		// A flow whose cap is at or below the share binds first. The
 		// worklist is compacted in the same stable pass, preserving the
 		// ascending-id visit order of the naive ladder.
-		capBound := false
-		k = 0
-		for _, f := range lf {
-			if f.frozen {
-				continue
+		if minCap <= share {
+			capBound := false
+			minCap = math.Inf(1)
+			k = 0
+			for _, i := range live {
+				if frozen[i] {
+					continue
+				}
+				c := caps[i]
+				if c <= share {
+					n.freeze(int(i), n.active[i].path, c)
+					left--
+					capBound = true
+					continue
+				}
+				if c < minCap {
+					minCap = c
+				}
+				live[k] = i
+				k++
 			}
-			if f.maxRate <= share {
-				n.freezeFlow(f, f.maxRate)
-				left--
-				capBound = true
-				continue
+			live = live[:k]
+			if capBound {
+				continue // resource shares changed; recompute
 			}
-			lf[k] = f
-			k++
-		}
-		lf = lf[:k]
-		if capBound {
-			continue // resource shares changed; recompute
 		}
 		if math.IsInf(share, 1) {
-			// Remaining flows cross no contended resource; cannot happen
-			// because every flow has a non-empty path, but guard anyway.
-			for _, f := range lf {
-				if !f.frozen {
-					f.rate = f.maxRate
-					f.frozen = true
+			// No resource has a finite share and no flow was cap-bound, so
+			// only NaN-capped flows are left (any other cap is <= +Inf):
+			// the ladder pins them to their cap without touching the
+			// residuals.
+			for _, i := range live {
+				if !frozen[i] {
+					rates[i] = caps[i]
+					frozen[i] = true
 					left--
 				}
 			}
 			break
 		}
 		// Freeze every unfrozen flow crossing a bottleneck resource,
-		// walking the resource's own crossing list instead of scanning all
-		// active flows.
+		// walking the resource's own crossing list. Freezes earlier in this
+		// pass can change a later resource's share, so stale ones divide
+		// again, as the ladder's fresh division would.
 		progressed := false
 		for _, id := range lr {
-			if unfrozen[id] == 0 {
+			r := &rf[id]
+			if r.unfrozen == 0 {
 				continue
 			}
-			if residual[id]/float64(unfrozen[id]) > share*(1+1e-12) {
+			if r.stale {
+				r.share = r.residual / float64(r.unfrozen)
+				r.stale = false
+			}
+			if r.share > share*(1+1e-12) {
 				continue
 			}
-			for _, f := range csr[start[id]:start[id+1]] {
-				if f.frozen {
+			for _, f := range n.resources[id].crossing {
+				if frozen[f.idx] {
 					continue
 				}
-				n.freezeFlow(f, share)
+				n.freeze(f.idx, f.path, share)
 				left--
 				progressed = true
 			}
@@ -619,19 +638,18 @@ func (n *Net) waterfill(now Time) {
 			panic("sim: max-min water-filling made no progress")
 		}
 	}
-	n.liveFlows, n.liveRes = lf[:0], lr[:0] // keep growth; drop stale refs logically
-	// Settle per-resource rate integrals with the fresh allocation.
-	sums := n.sums
-	for i := range sums {
-		sums[i] = 0
-	}
-	for _, f := range n.active {
-		for _, res := range f.path {
-			sums[res.id] += f.rate
-		}
+	// Publish the rates and settle per-resource rate integrals. Each sum
+	// runs down the crossing list — flows ascending, a flow listed once per
+	// path occurrence — which is the ladder's addition order.
+	for i, f := range n.active {
+		f.rate = rates[i]
 	}
 	for _, res := range n.resources {
-		res.settle(now, sums[res.id])
+		sum := 0.0
+		for _, f := range res.crossing {
+			sum += f.rate
+		}
+		res.settle(now, sum)
 	}
 }
 
@@ -663,9 +681,10 @@ func completionDelay(remaining, rate float64) (dt Time, ok bool) {
 
 // earliestDue returns the active flow with the smallest (deadline, dseq) —
 // the flow whose dedicated timer would fire next under a one-event-per-flow
-// design. Starved flows have no deadline and are skipped. Both armCompletion
-// and onComplete must select by this exact rule, or the armed event would
-// belong to a different flow than the one processed when it fires.
+// design. Starved flows have no deadline and are skipped. flush (inline, in
+// its deadline pass), armCompletion and onComplete must all select by this
+// exact rule, or the armed event would belong to a different flow than the
+// one processed when it fires.
 func (n *Net) earliestDue() *Flow {
 	var best *Flow
 	for _, f := range n.active {
@@ -732,7 +751,7 @@ func (n *Net) finish(f *Flow) {
 	f.remaining = 0
 	n.removeActive(f)
 	for _, r := range f.path {
-		r.flows--
+		r.dropFlow(f)
 	}
 	n.TotalBytes += f.volume
 	n.noteChurn()
@@ -766,7 +785,8 @@ func (n *Net) Reset() {
 	}
 	n.active = n.active[:0]
 	for _, r := range n.resources {
-		r.flows = 0
+		clear(r.crossing)
+		r.crossing = r.crossing[:0]
 		r.carried = 0
 		r.rate = 0
 		r.lastUpdate = 0

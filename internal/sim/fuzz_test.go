@@ -3,20 +3,22 @@ package sim
 import "testing"
 
 // FuzzReallocate drives the production fluid network (deferred, batched,
-// CSR/worklist water-filling) and the eager naive reference through the
+// incremental water-filling) and the eager naive reference through the
 // same generated flow-churn script (via buildChurnCase, shared with the
 // fixed equivalence suite) and asserts bit-exact lockstep equality of
 // clock, step count, completion times, rates, remaining bytes, deadlines
-// and starvation — see realloc_equiv_test.go for the comparison contract.
+// and starvation, and max-min optimality of every compared state — see
+// realloc_equiv_test.go for the comparison contract.
 //
 // The seed corpus in testdata/fuzz/FuzzReallocate pins the churn shapes
 // that matter: bursts of same-instant starts and finishes (the batching
 // stress), single-link bottlenecks with capped and starved flows, disjoint
 // components whose caps straddle each other's fair shares (the float-
-// ordering trap that rules out per-component fills), and completion waves
-// where many flows finish at one nanosecond. Corpus entries run as plain
-// unit tests in normal `go test` invocations; `make fuzz-smoke` runs a
-// short coverage-guided session on top.
+// ordering trap that rules out per-component fills), completion waves
+// where many flows finish at one nanosecond, and general paths: networks of
+// more than 64 resources, with resources repeated within a path. Corpus
+// entries run as plain unit tests in normal `go test` invocations; `make
+// fuzz-smoke` runs a short coverage-guided session on top.
 func FuzzReallocate(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(48), uint64(6))  // machine-shaped fan-out bursts
 	f.Add(uint64(2), uint64(1), uint64(80), uint64(3))  // single-link bottleneck, caps + starvation
@@ -24,6 +26,7 @@ func FuzzReallocate(f *testing.F) {
 	f.Add(uint64(4), uint64(3), uint64(72), uint64(2))  // merging/splitting random paths
 	f.Add(uint64(5), uint64(4), uint64(90), uint64(7))  // same-instant completion waves
 	f.Add(uint64(11), uint64(0), uint64(95), uint64(8)) // max-burst machine shape
+	f.Add(uint64(6), uint64(5), uint64(80), uint64(4))  // >64 resources, repeated path entries
 	f.Fuzz(func(t *testing.T, seed, style, nOps, burst uint64) {
 		caps, ops := buildChurnCase(seed, style, nOps, burst)
 		runEquivalence(t, caps, ops)

@@ -10,7 +10,7 @@ import (
 
 // Full-vs-incremental reallocation equivalence harness.
 //
-// A production Net (deferred, batched, CSR/worklist water-filling) and a
+// A production Net (deferred, batched, incremental water-filling) and a
 // reference Net (eager per-event recompute through the naive seed ladder,
 // see realloc_reference_test.go) are driven through an identical flow-churn
 // script on two engines, stopped at every churn instant, and compared
@@ -19,7 +19,9 @@ import (
 // state of every in-flight flow. Nothing is allowed to drift by even an
 // ulp — the determinism goldens pin physics to the nanosecond, and a
 // one-ulp rate difference becomes a one-nanosecond ceil difference becomes
-// a different schedule.
+// a different schedule. Every compared state is also checked against the
+// max-min definition (checkMaxMin in maxmin_test.go), so an error the two
+// fills shared would still fail.
 
 // churnOp is one scripted StartFlowCapped call.
 type churnOp struct {
@@ -138,11 +140,16 @@ func runEquivalence(t *testing.T, caps []float64, ops []churnOp) {
 		last = op.at
 		prod.eng.RunUntil(op.at)
 		ref.eng.RunUntil(op.at)
-		compareState(t, fmt.Sprintf("t=%v", op.at), prod, ref)
+		tag := fmt.Sprintf("t=%v", op.at)
+		compareState(t, tag, prod, ref)
+		checkMaxMin(t, tag+" production", prod.net)
+		checkMaxMin(t, tag+" reference", ref.net)
 	}
 	prod.eng.Run()
 	ref.eng.Run()
 	compareState(t, "drained", prod, ref)
+	checkMaxMin(t, "drained production", prod.net)
+	checkMaxMin(t, "drained reference", ref.net)
 	if prod.eng.Pending() != 0 || prod.net.ActiveFlows() != 0 {
 		t.Fatalf("production net did not drain: %d events, %d flows", prod.eng.Pending(), prod.net.ActiveFlows())
 	}
@@ -178,7 +185,7 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 	var ops []churnOp
 	now := Time(0)
 	pick := func(ids ...int) []int { return ids }
-	switch style % 5 {
+	switch style % 6 {
 	case 0:
 		// Machine-shaped: per-socket {mc, port} components, capped local and
 		// remote transfers — the exact shape rt.fanOutTransfers produces.
@@ -263,6 +270,35 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 				ops = append(ops, op)
 			}
 		}
+	case 5:
+		// General paths: more than 64 resources, so ids reach past any
+		// 64-bit path mask, and paths that list a resource twice (the flow
+		// then counts twice against that resource's capacity). About half
+		// the picks land on the ids >= 64 so flows there actually contend.
+		nr := 65 + rng.Intn(40)
+		for i := 0; i < nr; i++ {
+			caps = append(caps, 0.5+31.5*rng.Float64())
+		}
+		for len(ops) < nOps {
+			now += Time(rng.Intn(3000))
+			for j := 0; j < burst && len(ops) < nOps; j++ {
+				op := churnOp{at: now, vol: float64(1 + rng.Intn(1<<19)), maxR: math.Inf(1)}
+				if rng.Intn(3) > 0 {
+					op.maxR = 0.1 + 16*rng.Float64()
+				}
+				for k := 1 + rng.Intn(3); len(op.path) < k; {
+					switch {
+					case len(op.path) > 0 && rng.Intn(4) == 0:
+						op.path = append(op.path, op.path[rng.Intn(len(op.path))])
+					case rng.Intn(2) == 0:
+						op.path = append(op.path, 64+rng.Intn(nr-64))
+					default:
+						op.path = append(op.path, rng.Intn(nr))
+					}
+				}
+				ops = append(ops, op)
+			}
+		}
 	default:
 		// Completion-wave stress: equal volumes on shared resources, so many
 		// flows finish at the same nanosecond and the finish side of batching
@@ -317,6 +353,22 @@ func TestReallocateEquivalenceScripted(t *testing.T) {
 			{at: 311, vol: 1 << 15, path: []int{mc}, maxR: math.Inf(1)},
 		})
 	})
+	t.Run("wide-repeated-path", func(t *testing.T) {
+		// 70 resources with traffic on ids past 63, and paths listing
+		// resources 66 and 69 twice: such a flow counts twice against the
+		// repeated resource's capacity.
+		caps := make([]float64, 70)
+		for i := range caps {
+			caps[i] = 4 + float64(i%7)
+		}
+		runEquivalence(t, caps, []churnOp{
+			{at: 0, vol: 1 << 16, path: []int{66, 66}, maxR: math.Inf(1)},
+			{at: 0, vol: 1 << 15, path: []int{3, 66}, maxR: 2.5},
+			{at: 0, vol: 1 << 15, path: []int{69, 5, 69}, maxR: math.Inf(1)},
+			{at: 400, vol: 1 << 14, path: []int{66, 69}, maxR: math.Inf(1)},
+			{at: 400, vol: 1 << 14, path: []int{64}, maxR: 1.5},
+		})
+	})
 	t.Run("zero-work", func(t *testing.T) {
 		runEquivalence(t, []float64{4}, []churnOp{
 			{at: 0, vol: 0, path: []int{mc}, maxR: math.Inf(1)},
@@ -367,7 +419,7 @@ func TestSameInstantTieOrderMatchesEager(t *testing.T) {
 // styles; the fuzz target FuzzReallocate explores the same space
 // coverage-guided.
 func TestReallocateEquivalenceRandom(t *testing.T) {
-	for style := uint64(0); style < 5; style++ {
+	for style := uint64(0); style < 6; style++ {
 		for seed := uint64(1); seed <= 6; seed++ {
 			caps, ops := buildChurnCase(seed, style, 64+seed*13, seed)
 			t.Run(fmt.Sprintf("style%d/seed%d", style, seed), func(t *testing.T) {
