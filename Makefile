@@ -92,9 +92,12 @@ bench-check:
 # Short coverage-guided fuzz of the FM refiner (gain-bucket vs heap
 # reference), the fluid network's full-vs-incremental reallocation contract
 # (batched incremental fill vs the eager naive ladder, every state checked
-# for max-min optimality), the cluster's arrival/dispatch loop (bursty
-# same-instant arrivals, zero-length jobs and tenant-skewed rates must never
-# stall or reorder the shared clock), the shard wire decoders (no panic on
+# for max-min optimality), the engine's Feed streams (identical to a loop of
+# At: order, Now, Steps and Pending after every step), the cluster's
+# arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
+# tenant-skewed rates must never stall or reorder the shared clock), the
+# dcsim -tenants grammar (no panic; every accepted arrival stream sorted
+# from time 0, as Feed requires), the shard wire decoders (no panic on
 # arbitrary bytes; every accepted line re-encodes byte for byte), and the
 # workload spec parser (no panic; every accepted spec round-trips through
 # its canonical rendering). The seed corpora also run in plain `make test`;
@@ -102,6 +105,8 @@ bench-check:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
+	$(GO) test -fuzz=FuzzFeed -fuzztime=15s ./internal/sim
+	$(GO) test -fuzz=FuzzParseTenants -fuzztime=15s ./cmd/dcsim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=15s ./internal/workload

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -145,8 +146,8 @@ func main() {
 // a three-entry cron trace) at the given total rate.
 func parseTenants(spec string, totalRate float64) ([]cluster.Tenant, error) {
 	if spec == "" {
-		if totalRate <= 0 {
-			return nil, fmt.Errorf("-rate must be positive")
+		if !(totalRate > 0) || math.IsInf(totalRate, 1) {
+			return nil, fmt.Errorf("-rate must be positive and finite")
 		}
 		return []cluster.Tenant{
 			{Name: "interactive", Specs: []string{"noop?tasks=4&flops=4096", "noop?tasks=1&flops=1024"},

@@ -28,7 +28,7 @@ type Tenant struct {
 	// thinned Lewis-Shedler style) or "trace" (explicit submit times).
 	Process string
 	// Rate is the mean arrival rate in jobs per simulated second, for the
-	// poisson and diurnal processes.
+	// poisson and diurnal processes. Must be positive and finite.
 	Rate float64
 	// Period and Amplitude shape the diurnal curve: instantaneous rate is
 	// Rate * (1 + Amplitude*sin(2*pi*t/Period)). Amplitude must be in
@@ -50,12 +50,16 @@ func (t *Tenant) validate(idx int) error {
 	}
 	switch t.Process {
 	case "poisson", "diurnal":
-		if t.Rate <= 0 {
-			return fmt.Errorf("cluster: tenant %q: %s process with rate %v", t.Name, t.Process, t.Rate)
+		// Written so that NaN fails every test: NaN compares false.
+		if !(t.Rate > 0) || math.IsInf(t.Rate, 1) {
+			return fmt.Errorf("cluster: tenant %q: %s process with rate %v (want positive and finite)", t.Name, t.Process, t.Rate)
 		}
 		if t.Process == "diurnal" {
-			if t.Amplitude < 0 || t.Amplitude >= 1 {
+			if !(t.Amplitude >= 0 && t.Amplitude < 1) {
 				return fmt.Errorf("cluster: tenant %q: diurnal amplitude %v out of [0, 1)", t.Name, t.Amplitude)
+			}
+			if math.IsInf(t.Rate*(1+t.Amplitude), 1) {
+				return fmt.Errorf("cluster: tenant %q: diurnal peak rate %v*(1+%v) overflows", t.Name, t.Rate, t.Amplitude)
 			}
 			if t.Period < 0 {
 				return fmt.Errorf("cluster: tenant %q: negative diurnal period", t.Name)
@@ -77,8 +81,9 @@ func (t *Tenant) validate(idx int) error {
 }
 
 // arrivalStream generates one tenant's submit times lazily. next returns
-// the next submit time, or ok=false when the stream is exhausted (only the
-// trace process ever exhausts).
+// the next submit time, or ok=false when the stream is exhausted: a trace
+// that has run dry, or a poisson or diurnal stream whose next arrival would
+// fall past the largest representable time.
 type arrivalStream struct {
 	tenant *Tenant
 	rng    *xrand.Rand
@@ -106,8 +111,7 @@ func (s *arrivalStream) next() (sim.Time, bool) {
 	t := s.tenant
 	switch t.Process {
 	case "poisson":
-		s.now += expDelay(s.rng, t.Rate)
-		return s.now, true
+		return s.advance(expDelay(s.rng, t.Rate))
 	case "diurnal":
 		// Lewis-Shedler thinning against the peak rate: draw candidate gaps
 		// at Rate*(1+A) and accept each candidate with probability
@@ -118,7 +122,9 @@ func (s *arrivalStream) next() (sim.Time, bool) {
 		}
 		peak := t.Rate * (1 + t.Amplitude)
 		for {
-			s.now += expDelay(s.rng, peak)
+			if _, ok := s.advance(expDelay(s.rng, peak)); !ok {
+				return 0, false
+			}
 			phase := 2 * math.Pi * float64(s.now%period) / float64(period)
 			rate := t.Rate * (1 + t.Amplitude*math.Sin(phase))
 			if s.rng.Float64()*peak <= rate {
@@ -136,6 +142,16 @@ func (s *arrivalStream) next() (sim.Time, bool) {
 	panic("cluster: unvalidated arrival process")
 }
 
+// advance moves the stream's clock gap forward and returns it, or reports
+// the stream exhausted if the clock would overflow.
+func (s *arrivalStream) advance(gap sim.Time) (sim.Time, bool) {
+	if s.now > math.MaxInt64-gap {
+		return 0, false
+	}
+	s.now += gap
+	return s.now, true
+}
+
 // Arrivals generates the first n jobs of the configured tenants, merged
 // into one stream ordered by (submit time, tenant index, per-tenant
 // sequence) and numbered 0..n-1 in that order. The stream is a pure
@@ -145,8 +161,10 @@ func (s *arrivalStream) next() (sim.Time, bool) {
 // list — the foundation of cluster-mode determinism goldens.
 //
 // Each job's Spec is drawn uniformly from its tenant's Specs using the same
-// tenant stream. Fewer than n jobs are returned only when every tenant uses
-// a finite trace and the traces run dry.
+// tenant stream. Fewer than n jobs are returned only when every tenant's
+// stream runs out: a finite trace runs dry, or a rate so low that the next
+// arrival would fall past the largest representable time (about 292
+// simulated years).
 func Arrivals(tenants []Tenant, seed uint64, n int) ([]Job, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("cluster: negative job count %d", n)

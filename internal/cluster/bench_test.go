@@ -55,6 +55,54 @@ func BenchmarkClusterTick(b *testing.B) {
 	b.ReportMetric(float64(makespan)/1e6, "sim-ms/run")
 }
 
+// BenchmarkClusterTickStream is BenchmarkClusterTick at the scale of the
+// service benchmark: 8 machines under cmd/dcsim's four-tenant mix at
+// 200,000 jobs/s (rates split 4:2:1 plus a three-job cron trace), every job
+// audited, 20,000 jobs per run. A run this long is where the engine's event
+// heap would fill with not-yet-due arrivals if they were all scheduled up
+// front; the 256-job BenchmarkClusterTick never grows the heap enough to
+// show that cost.
+func BenchmarkClusterTickStream(b *testing.B) {
+	const jobs, rate = 20000, 200000.0
+	cfg := Config{
+		Machines: 8,
+		Machine:  machine.TwoSocketXeon(),
+		Policy:   "LAS",
+		Runtime:  rt.DefaultOptions(),
+		Scale:    apps.Tiny,
+		Tenants: []Tenant{
+			{Name: "interactive", Specs: []string{"noop?tasks=4&flops=4096", "noop?tasks=1&flops=1024"},
+				Process: "diurnal", Rate: rate * 4 / 7, Amplitude: 0.6, Period: 200 * sim.Millisecond},
+			{Name: "batch", Specs: []string{"forkjoin?depth=2&fanout=2", "random-layered?layers=3&width=4"},
+				Process: "poisson", Rate: rate * 2 / 7},
+			{Name: "science", Specs: []string{"random-layered?layers=4&width=3&fan=2"},
+				Process: "poisson", Rate: rate / 7},
+			{Name: "cron", Specs: []string{"noop?tasks=0"},
+				Process: "trace", Trace: []sim.Time{0, sim.Millisecond, 50 * sim.Millisecond}},
+		},
+		Jobs:       jobs,
+		Seed:       1,
+		Dispatcher: "kchoices?d=2",
+		Audit:      true,
+	}
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var makespan sim.Time
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		makespan = res.Makespan
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
+	b.ReportMetric(float64(makespan)/1e6, "sim-ms/run")
+}
+
 // benchFleetConfig is the fleet-scale flush scenario: `machines` machines
 // and a trace tenant submitting machine-wide bursts at identical instants,
 // spread one-per-machine by the idle dispatcher under the RNG-free DFIFO

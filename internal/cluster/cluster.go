@@ -460,10 +460,15 @@ func Run(cfg Config, sinks ...core.Sink) (*Result, error) {
 		cfg.Monitor.bind(f)
 		f.obs = append(f.obs, cfg.Monitor)
 	}
+	// Arrivals yields jobs sorted by SubmitAt and numbered by position, so
+	// they enter the engine as one Feed stream: only the next due arrival
+	// sits in the event heap, and every task, transfer and flush event
+	// sifts through a heap of live work rather than of all future jobs.
+	times := make([]sim.Time, len(jobs))
 	for i := range jobs {
-		id := jobs[i].ID
-		eng.At(jobs[i].SubmitAt, func() { f.arrive(id) })
+		times[i] = jobs[i].SubmitAt
 	}
+	eng.Feed(times, f.arrive)
 	eng.Run()
 	if f.err != nil {
 		return nil, f.err

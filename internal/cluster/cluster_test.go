@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -350,6 +351,64 @@ func TestArrivalsValidation(t *testing.T) {
 	for i, tenants := range bad {
 		if _, err := Arrivals(tenants, 1, 5); err == nil {
 			t.Fatalf("case %d: invalid tenants accepted", i)
+		}
+	}
+}
+
+// TestArrivalsRateValidation rejects every rate that is not positive and
+// finite, and every diurnal amplitude outside [0, 1) — NaN included, which
+// slips past plain ordered comparisons — with an error, not a panic.
+func TestArrivalsRateValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name      string
+		process   string
+		rate, amp float64
+		ok        bool
+	}{
+		{"poisson ok", "poisson", 1, 0, true},
+		{"diurnal ok", "diurnal", 1, 0.99, true},
+		{"poisson NaN rate", "poisson", nan, 0, false},
+		{"poisson +Inf rate", "poisson", inf, 0, false},
+		{"poisson -Inf rate", "poisson", -inf, 0, false},
+		{"poisson negative rate", "poisson", -1, 0, false},
+		{"poisson zero rate", "poisson", 0, 0, false},
+		{"diurnal NaN rate", "diurnal", nan, 0.5, false},
+		{"diurnal +Inf rate", "diurnal", inf, 0.5, false},
+		{"diurnal -Inf rate", "diurnal", -inf, 0.5, false},
+		{"diurnal negative rate", "diurnal", -1, 0.5, false},
+		{"diurnal overflowing peak", "diurnal", math.MaxFloat64, 0.5, false},
+		{"diurnal NaN amplitude", "diurnal", 1, nan, false},
+		{"diurnal +Inf amplitude", "diurnal", 1, inf, false},
+		{"diurnal -Inf amplitude", "diurnal", 1, -inf, false},
+		{"diurnal negative amplitude", "diurnal", 1, -0.1, false},
+		{"diurnal amplitude 1", "diurnal", 1, 1, false},
+	}
+	for _, c := range cases {
+		tenants := []Tenant{{Name: "a", Specs: []string{"noop"}, Process: c.process, Rate: c.rate, Amplitude: c.amp}}
+		_, err := Arrivals(tenants, 1, 5)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+		}
+	}
+}
+
+// A rate so low that arrivals would pass the largest representable time
+// ends the stream there instead of wrapping the clock negative.
+func TestArrivalsTimeHorizon(t *testing.T) {
+	for _, process := range []string{"poisson", "diurnal"} {
+		tenants := []Tenant{{Name: "slow", Specs: []string{"noop"}, Process: process, Rate: 1e-300, Amplitude: 0.5}}
+		jobs, err := Arrivals(tenants, 1, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) == 0 || len(jobs) == 10 {
+			t.Fatalf("%s: got %d jobs, want the stream to end early", process, len(jobs))
+		}
+		for i := range jobs {
+			if jobs[i].SubmitAt <= 0 || (i > 0 && jobs[i].SubmitAt < jobs[i-1].SubmitAt) {
+				t.Fatalf("%s: job %d submitted at %v after %v", process, i, jobs[i].SubmitAt, jobs[max(i-1, 0)].SubmitAt)
+			}
 		}
 	}
 }

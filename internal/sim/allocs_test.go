@@ -78,3 +78,29 @@ func TestReallocateFullSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("full reallocation allocates %v objects per op, want 0", avg)
 	}
 }
+
+// TestFeedSteadyStateAllocs pins Feed's allocation contract: a stream costs
+// its Feed call a constant two allocations (the stream's state and its bound
+// delivery callback), never one per entry — a service run feeds every job
+// arrival as one stream.
+func TestFeedSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	times := make([]Time, 4096)
+	for i := range times {
+		times[i] = Time(i / 3)
+	}
+	delivered := 0
+	fn := func(int) { delivered++ }
+	run := func() {
+		e.Reset()
+		e.Feed(times, fn)
+		e.Run()
+	}
+	run() // grow the slot arena
+	if avg := testing.AllocsPerRun(20, run); avg > 2 {
+		t.Fatalf("Feed of %d entries: %.1f allocs per stream, want <= 2", len(times), avg)
+	}
+	if delivered != 22*len(times) {
+		t.Fatalf("delivered %d entries, want %d", delivered, 22*len(times))
+	}
+}

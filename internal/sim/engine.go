@@ -26,7 +26,13 @@
 //     arena ([]event). Slots are recycled through a free list, Timer handles
 //     are (slot, generation) values so Stop after reuse is a safe no-op, and
 //     Stop removes the slot from the heap immediately — the heap never holds
-//     cancelled events, so Pending is len(heap) and Step never skips.
+//     cancelled events, so Step never skips.
+//   - A sorted stream of events (Feed: a service run's job arrivals) keeps
+//     only its head in the heap. Each entry's seq is reserved when the
+//     stream is fed, and the next entry enters the heap as its predecessor
+//     fires, so the (time, seq) order is that of scheduling every entry
+//     with At up front — but every other event sifts through a heap of the
+//     live work, not of the whole future arrival stream.
 //   - Net keeps active flows in a dense slice ordered by ascending flow ID
 //     (the deterministic iteration order), and every Resource keeps the
 //     list of flows crossing it, in the same order, updated as flows start
@@ -121,6 +127,10 @@ type Engine struct {
 	heap   []int32 // binary heap of live slot IDs, ordered by (at, seq)
 	seq    uint64
 	nSteps uint64
+
+	// feedRest counts the entries of live Feed streams that are not yet in
+	// the heap (each stream keeps only its head there).
+	feedRest int
 
 	// End-of-instant flush hooks. A subsystem that batches same-instant
 	// work (the fluid network coalescing flow churn into one reallocation)
@@ -299,6 +309,82 @@ func (e *Engine) Reschedule(t Timer, at Time) bool {
 	return true
 }
 
+// Feed schedules fn(i) at times[i] for every i, exactly as
+//
+//	for i, t := range times { e.At(t, func() { fn(i) }) }
+//
+// would: it claims the next len(times) scheduling seqs now, so the entries
+// fire in the same (time, seq) order, with the same Steps and Now, as that
+// loop. Only the next undelivered entry sits in the event heap, though;
+// the one after it is queued, under its reserved seq, when it fires. Feed
+// panics, as At does, on a time before Now, and also on decreasing times.
+// Feed entries cannot be stopped, Pending counts the undelivered ones and
+// Reset drops them. Feed keeps times; the caller must not modify it while
+// entries are pending.
+func (e *Engine) Feed(times []Time, fn func(i int)) {
+	if fn == nil {
+		panic("sim: feeding nil event function")
+	}
+	if len(times) == 0 {
+		return
+	}
+	if times[0] < e.now {
+		panic(fmt.Sprintf("sim: feeding event at %v before now %v", times[0], e.now))
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] < times[i-1] {
+			panic(fmt.Sprintf("sim: feed times decrease at index %d (%v after %v)", i, times[i], times[i-1]))
+		}
+	}
+	f := &feed{e: e, times: times, fn: fn, seq: e.seq + 1}
+	f.fire = f.deliver
+	e.seq += uint64(len(times))
+	e.feedRest += len(times) - 1
+	f.push()
+}
+
+// feed is one live Feed stream; the heap holds its entry next, under seq.
+type feed struct {
+	e     *Engine
+	times []Time
+	fn    func(int)
+	next  int
+	seq   uint64
+	fire  func() // f.deliver, bound once per stream
+}
+
+// deliver runs entry next, after queueing its successor: the successor is
+// due no earlier and holds a lower seq than anything fn(next) schedules,
+// so it must be in the heap before the engine picks the next event.
+func (f *feed) deliver() {
+	i := f.next
+	if i+1 < len(f.times) {
+		f.next++
+		f.seq++
+		f.e.feedRest--
+		f.push()
+	}
+	f.fn(i)
+}
+
+// push inserts entry next into the heap.
+func (f *feed) push() {
+	e := f.e
+	var id int32
+	if n := len(e.free); n > 0 {
+		id = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		e.slots = append(e.slots, event{pos: -1})
+		id = int32(len(e.slots) - 1)
+	}
+	s := &e.slots[id]
+	s.at, s.seq, s.fn = f.times[f.next], f.seq, f.fire
+	s.pos = int32(len(e.heap))
+	e.heap = append(e.heap, id)
+	e.siftUp(len(e.heap) - 1)
+}
+
 // AddFlusher registers an end-of-instant hook. See Engine.flushers.
 func (e *Engine) AddFlusher(fn func()) {
 	if fn == nil {
@@ -380,16 +466,18 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	return len(e.heap) == 0
 }
 
-// Pending returns the number of queued events. Stopped timers leave the
-// queue immediately, so this is a live count, in O(1).
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of queued events, counting every undelivered
+// Feed entry (not just the stream heads in the heap). Stopped timers leave
+// the queue immediately, so this is a live count, in O(1).
+func (e *Engine) Pending() int { return len(e.heap) + e.feedRest }
 
-// Reset rewinds the engine to time zero with an empty queue while keeping
-// its grown arena capacity and — crucially — its registered flushers, so a
-// pooled engine/machine pair can serve a fresh run without re-wiring the
-// Net's end-of-instant hook. Every slot generation is bumped, so Timer
-// handles from the previous run can never touch the recycled slots; a
-// stale Stop or Reschedule is a no-op exactly as if the event had fired.
+// Reset rewinds the engine to time zero with an empty queue, dropping live
+// Feed streams, while keeping its grown arena capacity and — crucially —
+// its registered flushers, so a pooled engine/machine pair can serve a
+// fresh run without re-wiring the Net's end-of-instant hook. Every slot
+// generation is bumped, so Timer handles from the previous run can never
+// touch the recycled slots; a stale Stop or Reschedule is a no-op exactly
+// as if the event had fired.
 func (e *Engine) Reset() {
 	e.heap = e.heap[:0]
 	e.free = e.free[:0]
@@ -403,5 +491,6 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.nSteps = 0
+	e.feedRest = 0
 	e.needFlush = false
 }

@@ -160,14 +160,16 @@ func TestIndexedHeapAgainstModel(t *testing.T) {
 		at      Time
 		id      int
 		stopped bool
+		fed     bool // a Feed entry: not stoppable
 	}
 	e := NewEngine()
 	var model []modelEv
 	var fired []int
 	timers := map[int]Timer{}
 	nextID := 0
+	hasFired, nFired := map[int]bool{}, 0
 	for op := 0; op < 5000; op++ {
-		switch next(4) {
+		switch next(5) {
 		case 0, 1: // schedule
 			at := e.Now() + Time(next(50))
 			id := nextID
@@ -181,24 +183,33 @@ func TestIndexedHeapAgainstModel(t *testing.T) {
 			id := next(nextID)
 			timers[id].Stop()
 			for i := range model {
-				if model[i].id == id {
+				if model[i].id == id && !model[i].fed {
 					model[i].stopped = true
 				}
 			}
 		case 3:
 			e.Step()
+		case 4: // feed a short stream; its entries count as pending until delivered
+			n := 1 + next(6)
+			times := make([]Time, n)
+			ids := make([]int, n)
+			at := e.Now()
+			for i := range times {
+				at += Time(next(20))
+				times[i], ids[i] = at, nextID
+				model = append(model, modelEv{at: at, id: nextID, fed: true})
+				nextID++
+			}
+			e.Feed(times, func(i int) { fired = append(fired, ids[i]) })
 		}
-		// Pending must equal the model's live, unfired count.
+		// Pending must equal the model's live, unfired count, undelivered
+		// Feed entries included.
+		for ; nFired < len(fired); nFired++ {
+			hasFired[fired[nFired]] = true
+		}
 		live := 0
 		for _, m := range model {
-			alreadyFired := false
-			for _, f := range fired {
-				if f == m.id {
-					alreadyFired = true
-					break
-				}
-			}
-			if !m.stopped && !alreadyFired {
+			if !m.stopped && !hasFired[m.id] {
 				live++
 			}
 		}

@@ -32,3 +32,20 @@ func FuzzReallocate(f *testing.F) {
 		runEquivalence(t, caps, ops)
 	})
 }
+
+// FuzzFeed runs the Feed oracle (runFeedOracle in feed_test.go) on
+// generated scripts: a stream of up to 4096 entries fed through Feed must
+// fire exactly like the same stream scheduled by a loop of At, with
+// callbacks scheduling, stopping and rescheduling colliding events and
+// requesting flushes, RunUntil horizons inside the stream, a mid-stream
+// Reset and rejected Feeds. The seeds below cover a lone entry, a stream
+// shorter than its own mid-run Feeds, and long duplicate-heavy streams.
+func FuzzFeed(f *testing.F) {
+	f.Add(uint64(1), uint16(1))
+	f.Add(uint64(2), uint16(7))
+	f.Add(uint64(3), uint16(300))
+	f.Add(uint64(4), uint16(4095))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
+		runFeedOracle(t, seed, 1+int(n%4096))
+	})
+}
