@@ -98,10 +98,12 @@ bench-check:
 # tenant-skewed rates must never stall or reorder the shared clock), the
 # dcsim -tenants grammar (no panic; every accepted arrival stream sorted
 # from time 0, as Feed requires), the shard wire decoders (no panic on
-# arbitrary bytes; every accepted line re-encodes byte for byte), and the
+# arbitrary bytes; every accepted line re-encodes byte for byte), the
 # workload spec parser (no panic; every accepted spec round-trips through
-# its canonical rendering). The seed corpora also run in plain `make test`;
-# CI uploads any new crashers as workflow artifacts.
+# its canonical rendering), and the file workload's DAG import (no panic;
+# every accepted graph's edges, weights and labels survive the replay
+# through the runtime's dependence tracker). The seed corpora also run in
+# plain `make test`; CI uploads any new crashers as workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
@@ -110,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=15s ./internal/workload
+	$(GO) test -fuzz=FuzzImportDAG -fuzztime=15s ./internal/workload
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must
 # survive a clean.

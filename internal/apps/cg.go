@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -47,13 +45,13 @@ func buildCG(r *rt.Runtime, p CGParams) {
 	allocVec := func(name string) []*memory.Region {
 		v := make([]*memory.Region, p.Blocks)
 		for i := range v {
-			v[i] = r.Mem().Alloc(fmt.Sprintf("%s[%d]", name, i), p.VecBlockBytes, memory.Deferred, 0)
+			v[i] = r.Mem().Alloc(index(name, i), p.VecBlockBytes, memory.Deferred, 0)
 		}
 		return v
 	}
 	A := make([]*memory.Region, p.Blocks)
 	for i := range A {
-		A[i] = r.Mem().Alloc(fmt.Sprintf("A[%d]", i), p.ABlockBytes, memory.Deferred, 0)
+		A[i] = r.Mem().Alloc(index("A", i), p.ABlockBytes, memory.Deferred, 0)
 	}
 	x, rr, pp, q := allocVec("x"), allocVec("r"), allocVec("p"), allocVec("q")
 	pd1, pd2 := allocVec("pd1"), allocVec("pd2")
@@ -67,14 +65,14 @@ func buildCG(r *rt.Runtime, p CGParams) {
 
 	for i := 0; i < p.Blocks; i++ {
 		owner := blockRowOwner(i, p.Blocks, sockets)
-		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("init_A(%d)", i),
+		r.Submit(rt.TaskSpec{Label: call("init_A", i),
 			Flops:    float64(p.ABlockBytes / 8),
 			Accesses: []rt.Access{{Region: A[i], Mode: rt.Out}}, EPSocket: owner})
 		for _, v := range []struct {
 			n string
 			r *memory.Region
-		}{{"x", x[i]}, {"r", rr[i]}, {"p", pp[i]}} {
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("init_%s(%d)", v.n, i),
+		}{{"init_x", x[i]}, {"init_r", rr[i]}, {"init_p", pp[i]}} {
+			r.Submit(rt.TaskSpec{Label: call(v.n, i),
 				Flops:    vecFlops,
 				Accesses: []rt.Access{{Region: v.r, Mode: rt.Out}}, EPSocket: owner})
 		}
@@ -93,13 +91,13 @@ func buildCG(r *rt.Runtime, p CGParams) {
 			if i+1 < p.Blocks {
 				acc = append(acc, rt.Access{Region: pp[i+1], Mode: rt.In})
 			}
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("spmv(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: call("spmv", it, i),
 				Flops: spmvFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}
 		// alpha = rr / (p . q): block partials then one reduction.
 		for i := 0; i < p.Blocks; i++ {
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("dot1(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: call("dot1", it, i),
 				Flops: 2 * vecFlops,
 				Accesses: []rt.Access{
 					{Region: pd1[i], Mode: rt.Out},
@@ -112,19 +110,19 @@ func buildCG(r *rt.Runtime, p CGParams) {
 		for i := 0; i < p.Blocks; i++ {
 			accRed = append(accRed, rt.Access{Region: pd1[i], Mode: rt.In})
 		}
-		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("reduce1(%d)", it),
+		r.Submit(rt.TaskSpec{Label: call("reduce1", it),
 			Flops: float64(p.Blocks), Accesses: accRed, EPSocket: 0})
 		// x += alpha p ; r -= alpha q.
 		for i := 0; i < p.Blocks; i++ {
 			owner := blockRowOwner(i, p.Blocks, sockets)
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("axpy_x(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: call("axpy_x", it, i),
 				Flops: 2 * vecFlops,
 				Accesses: []rt.Access{
 					{Region: x[i], Mode: rt.InOut},
 					{Region: pp[i], Mode: rt.In},
 					{Region: alpha, Mode: rt.In},
 				}, EPSocket: owner})
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("axpy_r(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: call("axpy_r", it, i),
 				Flops: 2 * vecFlops,
 				Accesses: []rt.Access{
 					{Region: rr[i], Mode: rt.InOut},
@@ -134,7 +132,7 @@ func buildCG(r *rt.Runtime, p CGParams) {
 		}
 		// beta = (r'.r') / (r.r): partials + reduction.
 		for i := 0; i < p.Blocks; i++ {
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("dot2(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: call("dot2", it, i),
 				Flops: 2 * vecFlops,
 				Accesses: []rt.Access{
 					{Region: pd2[i], Mode: rt.Out},
@@ -146,11 +144,11 @@ func buildCG(r *rt.Runtime, p CGParams) {
 		for i := 0; i < p.Blocks; i++ {
 			accRed2 = append(accRed2, rt.Access{Region: pd2[i], Mode: rt.In})
 		}
-		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("reduce2(%d)", it),
+		r.Submit(rt.TaskSpec{Label: call("reduce2", it),
 			Flops: float64(p.Blocks), Accesses: accRed2, EPSocket: 0})
 		// p = r + beta p.
 		for i := 0; i < p.Blocks; i++ {
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("update_p(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: call("update_p", it, i),
 				Flops: 2 * vecFlops,
 				Accesses: []rt.Access{
 					{Region: pp[i], Mode: rt.InOut},

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -53,15 +51,15 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 		img[i] = make([]*memory.Region, p.NB)
 		hist[i] = make([]*memory.Region, p.NB)
 		for j := 0; j < p.NB; j++ {
-			img[i][j] = r.Mem().Alloc(fmt.Sprintf("img[%d][%d]", i, j), p.ImgTileBytes, memory.Deferred, 0)
-			hist[i][j] = r.Mem().Alloc(fmt.Sprintf("hist[%d][%d]", i, j), p.HistBytes, memory.Deferred, 0)
+			img[i][j] = r.Mem().Alloc(index("img", i, j), p.ImgTileBytes, memory.Deferred, 0)
+			hist[i][j] = r.Mem().Alloc(index("hist", i, j), p.HistBytes, memory.Deferred, 0)
 		}
 	}
 	// Load the image (first touch of the streamed input).
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("load(%d,%d)", i, j),
+				Label:    call("load", i, j),
 				Flops:    float64(p.ImgTileBytes / 8),
 				Accesses: []rt.Access{{Region: img[i][j], Mode: rt.Out}},
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -80,7 +78,7 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 					acc = append(acc, rt.Access{Region: hist[i][j-1], Mode: rt.In})
 				}
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("hscan(%d,%d,%d)", f, i, j),
+					Label:    call("hscan", f, i, j),
 					Flops:    2*float64(p.ImgTileBytes/8) + float64(p.HistBytes/8),
 					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -92,7 +90,7 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 		for j := 0; j < p.NB; j++ {
 			for i := 1; i < p.NB; i++ {
 				r.Submit(rt.TaskSpec{
-					Label: fmt.Sprintf("vscan(%d,%d,%d)", f, i, j),
+					Label: call("vscan", f, i, j),
 					Flops: 2 * float64(p.HistBytes/8),
 					Accesses: []rt.Access{
 						{Region: hist[i][j], Mode: rt.InOut},

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
 	"numadag/internal/memory"
@@ -68,15 +67,15 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 		A[i] = make([]*memory.Region, p.NT)
 		T[i] = make([]*memory.Region, p.NT)
 		for j := 0; j < p.NT; j++ {
-			A[i][j] = r.Mem().Alloc(fmt.Sprintf("A[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
+			A[i][j] = r.Mem().Alloc(index("A", i, j), p.TileBytes, memory.Deferred, 0)
 			// T factors are narrow (ib x n): a fraction of a tile.
-			T[i][j] = r.Mem().Alloc(fmt.Sprintf("T[%d][%d]", i, j), p.TileBytes/8, memory.Deferred, 0)
+			T[i][j] = r.Mem().Alloc(index("T", i, j), p.TileBytes/8, memory.Deferred, 0)
 		}
 	}
 	for i := 0; i < p.NT; i++ {
 		for j := 0; j < p.NT; j++ {
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: []rt.Access{{Region: A[i][j], Mode: rt.Out}},
 				EPSocket: blockCyclic2D(i, j, sockets),
@@ -85,7 +84,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 	}
 	for k := 0; k < p.NT; k++ {
 		r.Submit(rt.TaskSpec{
-			Label: fmt.Sprintf("geqrt(%d)", k),
+			Label: call("geqrt", k),
 			Flops: panelFlops(p.TileBytes),
 			Accesses: []rt.Access{
 				{Region: A[k][k], Mode: rt.InOut},
@@ -95,7 +94,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 		})
 		for j := k + 1; j < p.NT; j++ {
 			r.Submit(rt.TaskSpec{
-				Label: fmt.Sprintf("unmqr(%d,%d)", k, j),
+				Label: call("unmqr", k, j),
 				Flops: trsmFlops(p.TileBytes),
 				Accesses: []rt.Access{
 					{Region: A[k][j], Mode: rt.InOut},
@@ -107,7 +106,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 		}
 		for i := k + 1; i < p.NT; i++ {
 			r.Submit(rt.TaskSpec{
-				Label: fmt.Sprintf("tsqrt(%d,%d)", i, k),
+				Label: call("tsqrt", i, k),
 				Flops: trsmFlops(p.TileBytes),
 				Accesses: []rt.Access{
 					{Region: A[k][k], Mode: rt.InOut},
@@ -118,7 +117,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 			})
 			for j := k + 1; j < p.NT; j++ {
 				r.Submit(rt.TaskSpec{
-					Label: fmt.Sprintf("tsmqr(%d,%d,%d)", i, j, k),
+					Label: call("tsmqr", i, j, k),
 					Flops: gemmFlops(p.TileBytes),
 					Accesses: []rt.Access{
 						{Region: A[k][j], Mode: rt.InOut},

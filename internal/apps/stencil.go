@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -52,7 +50,7 @@ func buildJacobi(r *rt.Runtime, p StencilParams) {
 		for i := range a {
 			a[i] = make([]*memory.Region, p.NB)
 			for j := range a[i] {
-				a[i][j] = r.Mem().Alloc(fmt.Sprintf("%s[%d][%d]", name, i, j), p.TileBytes, memory.Deferred, 0)
+				a[i][j] = r.Mem().Alloc(index(name, i, j), p.TileBytes, memory.Deferred, 0)
 			}
 		}
 		return a
@@ -62,7 +60,7 @@ func buildJacobi(r *rt.Runtime, p StencilParams) {
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: []rt.Access{{Region: src[i][j], Mode: rt.Out}},
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -80,7 +78,7 @@ func buildJacobi(r *rt.Runtime, p StencilParams) {
 					}
 				}
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("jacobi(%d,%d,%d)", it, i, j),
+					Label:    call("jacobi", it, i, j),
 					Flops:    stencilFlops(p.TileBytes),
 					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -106,13 +104,13 @@ func buildRedBlack(r *rt.Runtime, p StencilParams) {
 	for i := range u {
 		u[i] = make([]*memory.Region, p.NB)
 		for j := range u[i] {
-			u[i][j] = r.Mem().Alloc(fmt.Sprintf("u[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
+			u[i][j] = r.Mem().Alloc(index("u", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: []rt.Access{{Region: u[i][j], Mode: rt.Out}},
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -134,7 +132,7 @@ func buildRedBlack(r *rt.Runtime, p StencilParams) {
 						}
 					}
 					r.Submit(rt.TaskSpec{
-						Label:    fmt.Sprintf("rb(%d,%d,%d,%d)", it, color, i, j),
+						Label:    call("rb", it, color, i, j),
 						Flops:    stencilFlops(p.TileBytes),
 						Accesses: acc,
 						EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -161,13 +159,13 @@ func buildGaussSeidel(r *rt.Runtime, p StencilParams) {
 	for i := range u {
 		u[i] = make([]*memory.Region, p.NB)
 		for j := range u[i] {
-			u[i][j] = r.Mem().Alloc(fmt.Sprintf("u[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
+			u[i][j] = r.Mem().Alloc(index("u", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: []rt.Access{{Region: u[i][j], Mode: rt.Out}},
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -185,7 +183,7 @@ func buildGaussSeidel(r *rt.Runtime, p StencilParams) {
 					}
 				}
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("gs(%d,%d,%d)", it, i, j),
+					Label:    call("gs", it, i, j),
 					Flops:    stencilFlops(p.TileBytes),
 					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),

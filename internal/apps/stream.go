@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -52,7 +50,7 @@ func buildNStream(r *rt.Runtime, p NStreamParams) {
 	alloc := func(name string) []*memory.Region {
 		a := make([]*memory.Region, p.Chunks)
 		for j := range a {
-			a[j] = r.Mem().Alloc(fmt.Sprintf("%s[%d]", name, j), p.ChunkBytes, memory.Deferred, 0)
+			a[j] = r.Mem().Alloc(index(name, j), p.ChunkBytes, memory.Deferred, 0)
 		}
 		return a
 	}
@@ -62,9 +60,9 @@ func buildNStream(r *rt.Runtime, p NStreamParams) {
 		for _, arr := range []struct {
 			name string
 			regs []*memory.Region
-		}{{"a", a}, {"b", b}, {"c", c}} {
+		}{{"init_a", a}, {"init_b", b}, {"init_c", c}} {
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init_%s(%d)", arr.name, j),
+				Label:    call(arr.name, j),
 				Flops:    float64(p.ChunkBytes / 8),
 				Accesses: []rt.Access{{Region: arr.regs[j], Mode: rt.Out}},
 				EPSocket: owner,
@@ -74,7 +72,7 @@ func buildNStream(r *rt.Runtime, p NStreamParams) {
 	for it := 0; it < p.Iters; it++ {
 		for j := 0; j < p.Chunks; j++ {
 			r.Submit(rt.TaskSpec{
-				Label: fmt.Sprintf("triad(%d,%d)", it, j),
+				Label: call("triad", it, j),
 				// Two flops per point: multiply and add.
 				Flops: 2 * float64(p.ChunkBytes/8),
 				Accesses: []rt.Access{

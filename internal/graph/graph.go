@@ -20,6 +20,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -44,9 +45,18 @@ type Edge struct {
 type DAG struct {
 	nodeW  []int64
 	labels []string
-	succ   [][]halfEdge // sorted by target id per node (kept sorted on insert)
+	// succ and pred hold each node's out- and in-edges sorted by neighbor
+	// ID. AddEdge keeps both sorted with a binary-search insert;
+	// AddNodeWithPreds appends to the predecessors' succ lists (the new node
+	// has the largest ID, so they stay sorted) and writes the new node's
+	// pred list whole.
+	succ   [][]halfEdge
 	pred   [][]halfEdge
 	nEdges int
+	// predSlab is the unused tail of the chunk AddNodeWithPreds carves pred
+	// lists from. Each list gets exact capacity, so a later AddEdge append
+	// moves the list instead of writing into its neighbor.
+	predSlab []halfEdge
 }
 
 type halfEdge struct {
@@ -122,6 +132,57 @@ func (g *DAG) AddEdge(from, to NodeID, weight int64) {
 	g.succ[from] = insertHalf(g.succ[from], halfEdge{to: to, w: weight})
 	g.pred[to] = insertHalf(g.pred[to], halfEdge{to: from, w: weight})
 	g.nEdges++
+}
+
+// Pred is one incoming edge of a node committed by AddNodeWithPreds.
+type Pred struct {
+	From   NodeID
+	Weight int64
+}
+
+// predChunk caps the pred slab chunks AddNodeWithPreds allocates. Below
+// the cap a chunk is as large as the graph's edge count, so tiny graphs
+// stay tiny and large ones cost one allocation per predChunk edges.
+const predChunk = 1024
+
+// AddNodeWithPreds appends a node together with all of its incoming edges,
+// returning its ID. It builds the same graph as AddNode followed by one
+// AddEdge per entry of preds, in one pass: the new node's pred list is
+// written sorted into an exact-size chunk of a grow-only slab, and each
+// predecessor's succ list gains one appended entry, which keeps it sorted
+// because the new node has the largest ID. preds may be in any order but
+// must name distinct, existing nodes; the slice is not retained.
+func (g *DAG) AddNodeWithPreds(label string, weight int64, preds []Pred) NodeID {
+	for _, p := range preds {
+		g.checkID(p.From)
+		if p.Weight < 0 {
+			panic(fmt.Sprintf("graph: negative edge weight %d", p.Weight))
+		}
+	}
+	var in []halfEdge
+	if n := len(preds); n > 0 {
+		if len(g.predSlab) < n {
+			g.predSlab = make([]halfEdge, max(n, min(predChunk, g.nEdges)))
+		}
+		in = g.predSlab[:n:n]
+		for i, p := range preds {
+			in[i] = halfEdge{to: p.From, w: p.Weight}
+		}
+		slices.SortFunc(in, func(a, b halfEdge) int { return int(a.to) - int(b.to) })
+		for i := 1; i < n; i++ {
+			if in[i-1].to == in[i].to {
+				panic(fmt.Sprintf("graph: duplicate predecessor %d", in[i].to))
+			}
+		}
+		g.predSlab = g.predSlab[n:]
+	}
+	id := g.AddNode(label, weight)
+	for _, h := range in {
+		g.succ[h.to] = append(g.succ[h.to], halfEdge{to: id, w: h.w})
+	}
+	g.pred[id] = in
+	g.nEdges += len(in)
+	return id
 }
 
 // HasEdge reports whether from -> to exists.

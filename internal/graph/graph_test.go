@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -400,4 +401,115 @@ func BenchmarkTopoOrder10k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestAddNodeWithPredsMatchesAddEdge: committing each node with all its
+// incoming edges in one call builds the same graph as AddNode followed by
+// one AddEdge per edge — labels, weights, edge list and every adjacency
+// list in order — whatever order the preds are handed in.
+func TestAddNodeWithPredsMatchesAddEdge(t *testing.T) {
+	f := func(seed uint64, n8 uint8, fan8 uint8) bool {
+		r := xrand.New(seed)
+		n := int(n8%80) + 1
+		want, got := New(), New()
+		var preds []Pred
+		for i := 0; i < n; i++ {
+			label, w := string(rune('a'+i%26)), int64(r.Intn(100))
+			id := want.AddNode(label, w)
+			preds = preds[:0]
+			for k := 0; k < i && k < int(fan8%12); k++ {
+				from := NodeID(r.Intn(i))
+				ew := int64(r.Intn(1000))
+				if want.HasEdge(from, id) {
+					continue // AddNodeWithPreds takes distinct preds
+				}
+				want.AddEdge(from, id, ew)
+				preds = append(preds, Pred{From: from, Weight: ew})
+			}
+			if got.AddNodeWithPreds(label, w, preds) != id {
+				return false
+			}
+		}
+		return sameGraph(t, got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddNodeWithPredsListsAreIsolated: lists carved from the shared slab
+// have exact capacity, so growing one through AddEdge afterwards (the path
+// Barrier takes) never writes into a neighbor's list.
+func TestAddNodeWithPredsListsAreIsolated(t *testing.T) {
+	want, got := New(), New()
+	for i := 0; i < 6; i++ {
+		want.AddNode("", 1)
+		var preds []Pred
+		for from := 0; from < i; from++ {
+			want.AddEdge(NodeID(from), NodeID(i), int64(10*i+from))
+			preds = append(preds, Pred{From: NodeID(from), Weight: int64(10*i + from)})
+		}
+		got.AddNodeWithPreds("", 1, preds)
+	}
+	for _, e := range [][3]int64{{0, 5, 7}, {2, 3, 1}, {1, 4, 3}, {3, 4, 5}} {
+		want.AddEdge(NodeID(e[0]), NodeID(e[1]), e[2])
+		got.AddEdge(NodeID(e[0]), NodeID(e[1]), e[2])
+	}
+	want.AddNode("", 1)
+	got.AddNodeWithPreds("", 1, nil)
+	for from := 0; from < 6; from++ {
+		want.AddEdge(NodeID(from), 6, 1)
+		got.AddEdge(NodeID(from), 6, 1)
+	}
+	sameGraph(t, got, want)
+}
+
+func TestAddNodeWithPredsRejectsBadPreds(t *testing.T) {
+	for name, preds := range map[string][]Pred{
+		"duplicate":        {{From: 0, Weight: 1}, {From: 1, Weight: 1}, {From: 0, Weight: 2}},
+		"out of range":     {{From: 5, Weight: 1}},
+		"self":             {{From: 2, Weight: 1}}, // the new node's own ID
+		"negative":         {{From: 1, Weight: -1}},
+		"negative node id": {{From: -1, Weight: 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := New()
+			g.AddNode("a", 1)
+			g.AddNode("b", 1)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("bad preds accepted")
+					}
+				}()
+				g.AddNodeWithPreds("c", 1, preds)
+			}()
+			if g.Len() != 2 || g.Edges() != 0 || g.OutDegree(0) != 0 || g.OutDegree(1) != 0 {
+				t.Fatalf("rejected commit changed the graph: %d nodes, %d edges", g.Len(), g.Edges())
+			}
+		})
+	}
+}
+
+// sameGraph reports (and logs) whether two graphs agree on every node's
+// label and weight and every adjacency list in order.
+func sameGraph(t *testing.T, got, want *DAG) bool {
+	t.Helper()
+	if got.Len() != want.Len() || got.Edges() != want.Edges() {
+		t.Errorf("%d nodes %d edges, want %d nodes %d edges", got.Len(), got.Edges(), want.Len(), want.Edges())
+		return false
+	}
+	for i := 0; i < got.Len(); i++ {
+		id := NodeID(i)
+		if got.Label(id) != want.Label(id) || got.NodeWeight(id) != want.NodeWeight(id) ||
+			!slices.Equal(got.succ[i], want.succ[i]) || !slices.Equal(got.pred[i], want.pred[i]) {
+			t.Errorf("node %d: succ %v pred %v, want succ %v pred %v", i, got.succ[i], got.pred[i], want.succ[i], want.pred[i])
+			return false
+		}
+	}
+	if !slices.Equal(got.EdgeList(), want.EdgeList()) {
+		t.Error("edge lists differ")
+		return false
+	}
+	return true
 }

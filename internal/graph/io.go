@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -98,6 +99,10 @@ func (g *DAG) UnmarshalJSON(data []byte) error {
 		}
 		if e.Weight < 0 {
 			return fmt.Errorf("graph: negative edge weight %d", e.Weight)
+		}
+		// Parallel edges accumulate; their sum must stay an int64.
+		if w := g.EdgeWeight(NodeID(e.From), NodeID(e.To)); e.Weight > math.MaxInt64-w {
+			return fmt.Errorf("graph: edge (%d,%d) weight overflows", e.From, e.To)
 		}
 		g.AddEdge(NodeID(e.From), NodeID(e.To), e.Weight)
 	}

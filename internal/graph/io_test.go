@@ -40,6 +40,8 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 		`{"nodes":[{"weight":1}],"edges":[{"from":0,"to":0,"weight":1}]}`, // self-loop
 		`{"nodes":[{"weight":-1}],"edges":[]}`,                            // negative node
 		`{"nodes":[{"weight":1},{"weight":1}],"edges":[{"from":0,"to":1,"weight":-2}]}`,
+		// parallel edges whose accumulated weight overflows int64
+		`{"nodes":[{"weight":1},{"weight":1}],"edges":[{"from":0,"to":1,"weight":9223372036854775807},{"from":0,"to":1,"weight":1}]}`,
 		`not json`,
 	}
 	for i, c := range cases {

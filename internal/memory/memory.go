@@ -228,6 +228,13 @@ func (m *Manager) PageSize() int64 { return m.pageSize }
 // manager's own; callers must not mutate it.
 func (m *Manager) Regions() []*Region { return m.regions }
 
+// Owns reports whether reg is one of m's live regions — allocated by m and
+// not recycled by a Reset since.
+func (m *Manager) Owns(reg *Region) bool {
+	id := reg.id
+	return id < len(m.regions) && m.regions[id] == reg
+}
+
 // Alloc creates a region of the given size under the placement policy.
 // homeSocket is only used by Home (pass 0 otherwise). Zero-byte regions are
 // legal and occupy one (empty) page so they still have an identity.

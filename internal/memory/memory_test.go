@@ -302,3 +302,19 @@ func TestAddBytesOnSocketMatchesBytesOnSocket(t *testing.T) {
 		}
 	}
 }
+
+func TestOwns(t *testing.T) {
+	m, other := NewManager(2), NewManager(2)
+	a := m.Alloc("a", 10, Deferred, 0)
+	foreign := other.Alloc("a", 10, Deferred, 0) // same ID, other manager
+	if !m.Owns(a) || m.Owns(foreign) || other.Owns(a) || !other.Owns(foreign) {
+		t.Fatal("Owns does not track the allocating manager")
+	}
+	m.Reset()
+	if m.Owns(a) {
+		t.Fatal("a region recycled by Reset is still owned")
+	}
+	if b := m.Alloc("b", 10, Deferred, 0); !m.Owns(b) {
+		t.Fatal("a region allocated after Reset is not owned")
+	}
+}

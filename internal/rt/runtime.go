@@ -53,6 +53,8 @@ func DefaultOptions() Options {
 }
 
 // regionTrack holds per-region dependence bookkeeping (OmpSs semantics).
+// Trackers live in a slice indexed by region ID (dense per memory.Manager);
+// pooled runtimes keep each readers backing array.
 type regionTrack struct {
 	lastWriter *Task
 	readers    []*Task // readers since the last write
@@ -68,7 +70,12 @@ type Runtime struct {
 
 	tdg    *graph.DAG
 	tasks  []*Task
-	tracks map[int]*regionTrack // by region ID
+	tracks []regionTrack // by region ID
+	// deps collects the dependences of the task being submitted, one entry
+	// per predecessor; depPos[from] is from's index in deps while that entry
+	// is live (a sparse set, so nothing is cleared between tasks).
+	deps   []graph.Pred
+	depPos []int32
 
 	// Queues.
 	sockQ []taskDeque // per-socket FIFO (back end feeds stealing)
@@ -125,9 +132,12 @@ type Runtime struct {
 	// allocation-free. The closures capture the Runtime pointer, which pool
 	// reuse keeps stable.
 	coreConts []coreCont
-	// Arena backing for Install and audit, recycled through the runtime pool:
-	// one slab of Task structs, one of task pointers, one for all successor
-	// lists, one for all access lists.
+	// Arena backing for Install, Submit and audit, recycled through the
+	// runtime pool: one slab of Task structs, one of task pointers, one for
+	// all successor lists, one for all access lists. Submit carves from the
+	// unused tail of taskArena and succSlab (len is the carved prefix) and
+	// starts a fresh chunk when one runs out; earlier chunks stay alive
+	// through the tasks that point into them.
 	taskArena  []Task
 	succSlab   []*Task
 	accSlab    []Access
@@ -186,6 +196,9 @@ func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 		rng:         rng,
 		tdg:         graph.New(),
 		tasks:       r.tasks[:0],
+		tracks:      r.tracks[:0],
+		deps:        r.deps[:0],
+		depPos:      r.depPos[:0],
 		sockQ:       resetDeques(r.sockQ, m.Sockets()),
 		coreQ:       resetDeques(r.coreQ, m.Cores()),
 		tempQ:       r.tempQ[:0],
@@ -199,8 +212,8 @@ func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 		portNow:     r.portNow[:0],
 		barrierIDs:  r.barrierIDs[:0],
 		coreConts:   r.coreConts,
-		taskArena:   r.taskArena,
-		succSlab:    r.succSlab,
+		taskArena:   r.taskArena[:0],
+		succSlab:    r.succSlab[:0],
 		accSlab:     r.accSlab,
 		regScratch:  r.regScratch,
 		auditCore:   r.auditCore,
@@ -314,6 +327,21 @@ func (r *Runtime) Release() {
 		return
 	}
 	r.released = true
+	if !r.installed {
+		// Submit carved this run's tasks and successor lists from chunks
+		// the next build reuses, which it overwrites only as far as it
+		// gets. Clear every task pointer the buffers hold, or a stale one
+		// would keep this graph reachable from the pool and, through the
+		// chunks it points into, the graphs built before it.
+		clear(r.tasks)
+		clear(r.taskArena[:cap(r.taskArena)])
+		clear(r.succSlab[:cap(r.succSlab)])
+		for i := range r.tracks {
+			r.tracks[i].lastWriter = nil
+			clear(r.tracks[i].readers[:cap(r.tracks[i].readers)])
+		}
+		r.barrierTask = nil
+	}
 	releases.Add(1)
 	runtimePool.Put(r)
 }
@@ -394,8 +422,8 @@ func (r *Runtime) Barrier() {
 		if t == sync {
 			continue
 		}
-		if len(t.succs) == 0 && !r.tdg.HasEdge(t.ID, sync.ID) {
-			t.succs = append(t.succs, sync)
+		if len(t.succs) == 0 { // no successor, so no edge to sync yet
+			r.appendSucc(t, sync)
 			sync.nDeps++
 			r.tdg.AddEdge(t.ID, sync.ID, 1)
 		}
@@ -443,6 +471,16 @@ func (r *Runtime) WindowTasks(w int) []*Task {
 // WAR edges carry weight 1 (pure ordering). Submit must be called before
 // Run; the TDG is then complete, and the window mechanism reproduces the
 // paper's partial-knowledge partitioning.
+//
+// Each task costs one pass: its dependences (the barrier edge first, then
+// RAW/WAW/WAR in access order) are merged per predecessor in runtime
+// scratch, and the new node and all its incoming edges enter the TDG in one
+// graph.DAG.AddNodeWithPreds call. The Task struct and the successor lists
+// are carved from the runtime's pooled arenas.
+//
+// Every accessed region must be a live region of r.Mem(): Submit panics on a
+// nil region and on a region from another runtime's memory manager, before
+// changing any state.
 func (r *Runtime) Submit(spec TaskSpec) *Task {
 	if r.running {
 		panic("rt: Submit during Run")
@@ -456,12 +494,20 @@ func (r *Runtime) Submit(spec TaskSpec) *Task {
 	if spec.Flops < 0 {
 		panic("rt: negative flops")
 	}
-	if r.tracks == nil {
-		r.tracks = make(map[int]*regionTrack)
+	for _, a := range spec.Accesses {
+		if a.Region == nil {
+			panic("rt: access with nil region")
+		}
+		if !r.mem.Owns(a.Region) {
+			panic(fmt.Sprintf("rt: access to region %q, which is not allocated from this runtime's memory manager", a.Region.Name()))
+		}
 	}
-	id := r.tdg.AddNode(spec.Label, int64(spec.Flops))
-	t := &Task{
-		ID:       id,
+	if n := len(r.mem.Regions()); len(r.tracks) < n {
+		r.growTracks(n)
+	}
+	t := r.newTask()
+	*t = Task{
+		ID:       graph.NodeID(len(r.tasks)),
 		Label:    spec.Label,
 		Flops:    spec.Flops,
 		Accesses: spec.Accesses,
@@ -472,59 +518,105 @@ func (r *Runtime) Submit(spec TaskSpec) *Task {
 		pickedBy: AnySocket,
 	}
 	r.tasks = append(r.tasks, t)
+	r.depPos = append(r.depPos, 0)
+	r.deps = r.deps[:0]
 	// Taskwait semantics: everything after a barrier depends on it.
-	if r.barrierTask != nil && r.barrierTask != t {
-		b := r.barrierTask
-		b.succs = append(b.succs, t)
-		t.nDeps++
-		r.tdg.AddEdge(b.ID, t.ID, 1)
-	}
-
-	addDep := func(from *Task, w int64) {
-		if from == t {
-			return // e.g. in+out on the same region within one task
-		}
-		if !r.tdg.HasEdge(from.ID, t.ID) {
-			from.succs = append(from.succs, t)
-			t.nDeps++
-		}
-		r.tdg.AddEdge(from.ID, t.ID, w)
+	if b := r.barrierTask; b != nil {
+		r.addDep(t, b, 1)
 	}
 	for _, a := range spec.Accesses {
-		if a.Region == nil {
-			panic("rt: access with nil region")
-		}
-		tr := r.tracks[a.Region.ID()]
-		if tr == nil {
-			tr = &regionTrack{}
-			r.tracks[a.Region.ID()] = tr
-		}
-		if a.Mode.Reads() {
-			if tr.lastWriter != nil {
-				addDep(tr.lastWriter, a.Region.Bytes()) // RAW: real data
-			}
+		tr := &r.tracks[a.Region.ID()]
+		if a.Mode.Reads() && tr.lastWriter != nil {
+			r.addDep(t, tr.lastWriter, a.Region.Bytes()) // RAW: real data
 		}
 		if a.Mode.Writes() {
 			if tr.lastWriter != nil {
-				addDep(tr.lastWriter, 1) // WAW: ordering only
+				r.addDep(t, tr.lastWriter, 1) // WAW: ordering only
 			}
 			for _, rd := range tr.readers {
-				addDep(rd, 1) // WAR: ordering only
+				r.addDep(t, rd, 1) // WAR: ordering only
 			}
 		}
 	}
+	r.tdg.AddNodeWithPreds(spec.Label, int64(spec.Flops), r.deps)
 	// Update trackers after dependence edges are drawn.
 	for _, a := range spec.Accesses {
-		tr := r.tracks[a.Region.ID()]
+		tr := &r.tracks[a.Region.ID()]
 		if a.Mode.Writes() {
 			tr.lastWriter = t
 			tr.readers = tr.readers[:0]
 		}
-		if a.Mode.Reads() && a.Mode == In {
+		if a.Mode == In {
 			tr.readers = append(tr.readers, t)
 		}
 	}
 	return t
+}
+
+// addDep records that t, the task being submitted, depends on from with
+// weight w. A repeated predecessor only adds its weight; the first
+// occurrence also links t into from's successors and counts it in nDeps.
+func (r *Runtime) addDep(t, from *Task, w int64) {
+	if i := r.depPos[from.ID]; int(i) < len(r.deps) && r.deps[i].From == from.ID {
+		r.deps[i].Weight += w
+		return
+	}
+	r.depPos[from.ID] = int32(len(r.deps))
+	r.deps = append(r.deps, graph.Pred{From: from.ID, Weight: w})
+	r.appendSucc(from, t)
+	t.nDeps++
+}
+
+// growTracks extends the region trackers to n, reviving pooled entries
+// (and their readers backing arrays) before appending new ones.
+func (r *Runtime) growTracks(n int) {
+	for len(r.tracks) < n {
+		if k := len(r.tracks); k < cap(r.tracks) {
+			r.tracks = r.tracks[:k+1]
+			r.tracks[k] = regionTrack{readers: r.tracks[k].readers[:0]}
+		} else {
+			r.tracks = append(r.tracks, regionTrack{})
+		}
+	}
+}
+
+// Smallest chunks Submit allocates for its arenas; both grow by doubling.
+const (
+	taskChunk = 16
+	succChunk = 64
+)
+
+// newTask carves a Task struct from the unused tail of taskArena, starting a
+// chunk twice the size of the exhausted one when it runs out. The pool keeps
+// the last, largest chunk, so rebuilding a graph no larger than the last
+// one allocates no Task memory.
+func (r *Runtime) newTask() *Task {
+	k := len(r.taskArena)
+	if k == cap(r.taskArena) {
+		r.taskArena = make([]Task, 0, max(taskChunk, 2*k))
+		k = 0
+	}
+	r.taskArena = r.taskArena[:k+1]
+	return &r.taskArena[k]
+}
+
+// appendSucc appends s to t's successor list. A full list moves to a
+// carved region of succSlab with twice its capacity (exact capacity, so an
+// append can never run into a neighbor's list).
+func (r *Runtime) appendSucc(t, s *Task) {
+	if n := len(t.succs); n == cap(t.succs) {
+		c := max(2, 2*n)
+		k := len(r.succSlab)
+		if cap(r.succSlab)-k < c {
+			r.succSlab = make([]*Task, 0, max(succChunk, 2*cap(r.succSlab), c))
+			k = 0
+		}
+		r.succSlab = r.succSlab[:k+c]
+		grown := r.succSlab[k : k+n : k+c]
+		copy(grown, t.succs)
+		t.succs = grown
+	}
+	t.succs = append(t.succs, s)
 }
 
 // ResidencyBytes returns, per socket, the allocated bytes of the task's

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"numadag/internal/machine"
@@ -339,6 +341,90 @@ func TestSubmitValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestSubmitRejectsForeignRegion pins the ownership check: a region from
+// another runtime's memory manager shares its dense ID space, so accepting
+// one would draw a spurious RAW edge from the writer of this runtime's
+// same-ID region (weighted with the foreign region's bytes) and let Run
+// first-touch memory the runtime does not own. Submit must panic before
+// changing any state.
+func TestSubmitRejectsForeignRegion(t *testing.T) {
+	a := newTestRT(t, pinned(0), Options{})
+	b := newTestRT(t, pinned(0), Options{})
+	own := a.Mem().Alloc("own", 4096, memory.Deferred, 0)
+	foreign := b.Mem().Alloc("foreign", 1<<20, memory.Deferred, 0)
+	if own.ID() != foreign.ID() {
+		t.Fatalf("test needs colliding IDs, got %d and %d", own.ID(), foreign.ID())
+	}
+	a.Submit(TaskSpec{Label: "w", Accesses: []Access{{Region: own, Mode: Out}}, EPSocket: NoEPHint})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Submit accepted a region from another runtime's memory manager")
+			}
+		}()
+		a.Submit(TaskSpec{Label: "r", Accesses: []Access{{Region: own, Mode: In}, {Region: foreign, Mode: In}}, EPSocket: NoEPHint})
+	}()
+	if g := a.Graph(); len(a.Tasks()) != 1 || g.Len() != 1 || g.Edges() != 0 {
+		t.Fatalf("rejected Submit changed state: %d tasks, %d nodes, %d edges", len(a.Tasks()), g.Len(), g.Edges())
+	}
+	if foreign.Allocated() || own.Allocated() {
+		t.Fatal("rejected Submit touched memory")
+	}
+	// The runtime stays usable: the same read without the foreign region
+	// gets exactly its RAW edge.
+	rd := a.Submit(TaskSpec{Label: "r", Accesses: []Access{{Region: own, Mode: In}}, EPSocket: NoEPHint})
+	if w := a.Graph().EdgeWeight(0, rd.ID); w != own.Bytes() || rd.PendingDeps() != 1 {
+		t.Fatalf("RAW edge weight %d, deps %d; want %d, 1", w, rd.PendingDeps(), own.Bytes())
+	}
+}
+
+// TestReleaseClearsSubmittedTasks: Submit carves tasks and successor lists
+// from pooled chunks that the next build overwrites only as far as it gets,
+// so Release must clear every task pointer the recycled buffers hold.
+// Otherwise a pooled runtime keeps the graph it built reachable and,
+// through stale chunk tails, the graphs built before it.
+func TestReleaseClearsSubmittedTasks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomizes caching under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
+	big := NewRuntime(m, pinned(0), Options{})
+	buildLayeredRT(big, 24, 16)
+	big.Barrier()
+	buildLayeredRT(big, 2, 16)
+	big.Release()
+	r := NewRuntime(m, pinned(0), Options{})
+	if r != big {
+		t.Skip("the pool handed out a different runtime")
+	}
+	buildLayeredRT(r, 3, 4) // reuses a prefix of each buffer
+	r.Release()
+	for i, p := range r.tasks[:cap(r.tasks)] {
+		if p != nil {
+			t.Fatalf("tasks[%d] still points at a task", i)
+		}
+	}
+	for i := range r.taskArena[:cap(r.taskArena)] {
+		if a := &r.taskArena[:cap(r.taskArena)][i]; a.Label != "" || a.Accesses != nil || a.succs != nil {
+			t.Fatalf("taskArena[%d] still holds task %q", i, a.Label)
+		}
+	}
+	for i, p := range r.succSlab[:cap(r.succSlab)] {
+		if p != nil {
+			t.Fatalf("succSlab[%d] still points at a task", i)
+		}
+	}
+	for i, tr := range r.tracks[:cap(r.tracks)] {
+		if tr.lastWriter != nil || slices.ContainsFunc(tr.readers[:cap(tr.readers)], func(p *Task) bool { return p != nil }) {
+			t.Fatalf("region tracker %d still points at a task", i)
+		}
+	}
+	if r.barrierTask != nil {
+		t.Fatal("barrierTask survives Release")
 	}
 }
 

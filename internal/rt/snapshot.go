@@ -67,24 +67,31 @@ func Snap(r *Runtime) (*Snapshot, error) {
 		}
 		rs[i] = regionSnap{name: reg.Name(), bytes: reg.Bytes(), placement: reg.Placement(), home: home}
 	}
-	isBarrier := make(map[graph.NodeID]bool, len(r.barrierIDs))
-	for _, id := range r.barrierIDs {
-		isBarrier[id] = true
+	nAcc := 0
+	for _, t := range r.tasks {
+		nAcc += len(t.Accesses)
 	}
+	// One array backs every task's access list; barrierIDs is ascending, so
+	// one cursor marks the sync tasks.
+	accs := make([]accessSnap, nAcc)
 	ts := make([]taskSnap, len(r.tasks))
+	nextBarrier := 0
 	for i, t := range r.tasks {
 		var acc []accessSnap
-		if len(t.Accesses) > 0 {
-			acc = make([]accessSnap, len(t.Accesses))
+		if n := len(t.Accesses); n > 0 {
+			acc, accs = accs[:n:n], accs[n:]
 			for j, a := range t.Accesses {
-				id := a.Region.ID()
-				if id < 0 || id >= len(regions) || regions[id] != a.Region {
+				if !r.mem.Owns(a.Region) {
 					return nil, fmt.Errorf("rt: Snap: task %q accesses a region not allocated from the runtime's memory manager", t.Label)
 				}
-				acc[j] = accessSnap{region: int32(id), mode: a.Mode}
+				acc[j] = accessSnap{region: int32(a.Region.ID()), mode: a.Mode}
 			}
 		}
-		ts[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: isBarrier[t.ID], accesses: acc}
+		barrier := nextBarrier < len(r.barrierIDs) && r.barrierIDs[nextBarrier] == t.ID
+		if barrier {
+			nextBarrier++
+		}
+		ts[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
 	}
 	return &Snapshot{tdg: r.tdg, regions: rs, tasks: ts}, nil
 }

@@ -231,12 +231,14 @@ func TestSnapshotGuards(t *testing.T) {
 		t.Error("Snap after Run did not fail")
 	}
 
-	// Regions from a foreign memory manager are rejected.
-	foreign := newSnapRT(pinned(0), Options{})
-	other := memory.NewManager(2)
-	reg := other.Alloc("foreign", 4096, memory.Deferred, 0)
-	foreign.Submit(TaskSpec{Label: "f", Accesses: []Access{{Region: reg, Mode: Out}}})
-	if _, err := Snap(foreign); err == nil {
-		t.Error("Snap with foreign region did not fail")
+	// Regions that are no longer the runtime's own are rejected: Submit
+	// refuses foreign ones outright (TestSubmitRejectsForeignRegion), so
+	// Snap can only meet a region its manager recycled after Submit.
+	stale := newSnapRT(pinned(0), Options{})
+	reg := stale.Mem().Alloc("r", 4096, memory.Deferred, 0)
+	stale.Submit(TaskSpec{Label: "f", Accesses: []Access{{Region: reg, Mode: Out}}})
+	stale.Mem().Reset()
+	if _, err := Snap(stale); err == nil {
+		t.Error("Snap with a recycled region did not fail")
 	}
 }

@@ -21,10 +21,14 @@
 // workload's high-water mark. Snapshot.Install carves all per-task storage
 // out of those arenas (one slab of Task structs, one backing every
 // successor list, one backing every access list) and fully overwrites each
-// slot, so recycling cannot leak state between runs. The two Result slices
-// and anything an Observer may retain escape the run and are therefore
-// always freshly allocated; Release is only legal when no Observer was
-// configured and the caller retains no *Task or *Region.
+// slot, so recycling cannot leak state between runs. Submit carves its Task
+// structs and successor lists from the same slabs and keeps its region
+// trackers and dependence scratch in recycled slices, so a pooled runtime
+// rebuilding a task graph allocates little beyond the fresh TDG; Release
+// clears the task pointers a Submit-built run leaves in them. The two
+// Result slices and anything an Observer may retain escape the run and are
+// therefore always freshly allocated; Release is only legal when no
+// Observer was configured and the caller retains no *Task or *Region.
 //
 // Recycling never trades away determinism: a pooled runtime re-runs a
 // configuration bit-identically to a fresh one (queue order, RNG stream,

@@ -41,11 +41,39 @@ func fileFactory(s Spec, _ apps.Scale, _ uint64) (Workload, error) {
 	if d.Len() == 0 {
 		return Workload{}, fmt.Errorf("workload: file: %s holds an empty graph", path)
 	}
-	order, err := d.TopoOrder()
+	order, err := checkImport(&d)
 	if err != nil {
 		return Workload{}, fmt.Errorf("workload: file: %s: %w", path, err)
 	}
 	return Workload{Build: dagBuilder(&d, order)}, nil
+}
+
+// Import limits. Node weights become float64 task flops, exact only up to
+// 2^53; each edge becomes a region whose page table is allocated up front,
+// so an edge may carry at most 1 TiB.
+const (
+	maxImportNodeWeight = int64(1) << 53
+	maxImportEdgeBytes  = int64(1) << 40
+)
+
+// checkImport returns d's topological order, or an error if d is cyclic or
+// holds a weight the runtime cannot replay exactly.
+func checkImport(d *graph.DAG) ([]graph.NodeID, error) {
+	order, err := d.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < d.Len(); i++ {
+		if w := d.NodeWeight(graph.NodeID(i)); w > maxImportNodeWeight {
+			return nil, fmt.Errorf("node %d weight %d exceeds 2^53", i, w)
+		}
+	}
+	for _, e := range d.EdgeList() {
+		if e.Weight < 0 || e.Weight > maxImportEdgeBytes {
+			return nil, fmt.Errorf("edge (%d,%d) weight %d outside [0, 2^40]", e.From, e.To, e.Weight)
+		}
+	}
+	return order, nil
 }
 
 // dagBuilder replays an in-memory DAG through Submit, in topological order
@@ -85,10 +113,11 @@ func dagBuilder(d *graph.DAG, order []graph.NodeID) func(r *rt.Runtime) error {
 }
 
 // FromDAG wraps an in-memory DAG as a Workload, for programmatic use (the
-// file generator is this plus JSON loading). The DAG must be acyclic and is
-// not copied; it must not be mutated afterwards.
+// file generator is this plus JSON loading). The DAG must be acyclic, with
+// node weights up to 2^53 and edge weights up to 2^40 bytes; it is not
+// copied and must not be mutated afterwards.
 func FromDAG(name string, d *graph.DAG) (Workload, error) {
-	order, err := d.TopoOrder()
+	order, err := checkImport(d)
 	if err != nil {
 		return Workload{}, fmt.Errorf("workload: %w", err)
 	}
