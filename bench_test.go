@@ -202,11 +202,12 @@ func BenchmarkPartitionerScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkDagpart measures the stand-alone partitioner flow cmd/dagpart
-// performs — workload TDG -> symmetrized graph -> k-way partition and
-// bullion static mapping — on a partitioner-heavy app and a synthetic
-// layered DAG. allocs/op tracks the per-call overhead that remains outside
-// the refiner's reused scratch (subgraph extraction and coarsening).
+// BenchmarkDagpart measures the stand-alone partitioner flow of cmd/dagen
+// -parts and -map — workload TDG -> symmetrized graph -> k-way partition
+// or static mapping onto 8 equidistant sockets — on a partitioner-heavy app
+// and a synthetic layered DAG. allocs/op tracks the per-call overhead that
+// remains outside the refiner's reused scratch (subgraph extraction and
+// coarsening).
 func BenchmarkDagpart(b *testing.B) {
 	for _, spec := range []string{"qr", "random-layered?layers=24&width=96"} {
 		w, err := workload.New(spec, apps.Small)

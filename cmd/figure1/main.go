@@ -62,8 +62,7 @@ func main() {
 	if apps := appsF(); apps != nil {
 		opt.Apps = apps
 	}
-	traceOut.Enable(false)
-	opt.Trace = traceOut.Attacher()
+	opt.Trace = traceOut.Enable(false)
 
 	mode, err := shardSet.Mode()
 	if err != nil {

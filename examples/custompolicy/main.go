@@ -2,12 +2,13 @@
 // interface, register it by name, and race it against the built-ins over a
 // declarative experiment grid.
 //
-// The example policy, "widest-first", places each ready task on the socket
+// The example policy, "ShortestQueue", places each ready task on the socket
 // with the shortest queue, breaking ties toward the socket holding most of
 // the task's data — a simple blend of load balancing and locality that sits
 // between DFIFO and LAS. Once registered, "ShortestQueue" is a first-class
-// policy name: experiments, sweeps and rgpsim can all refer to it, and every
-// run of it goes through the audited run path.
+// policy name: any Experiment, Run or cluster config in the registering
+// program can refer to it by spec, and every run of it goes through the
+// audited run path.
 //
 //	go run ./examples/custompolicy
 package main

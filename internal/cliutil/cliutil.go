@@ -1,9 +1,11 @@
 // Package cliutil holds the flag surface shared by the numadag commands
 // (cmd/sweep, cmd/figure1, cmd/dagen, cmd/dcsim): the apps/scale/seeds/
 // machine flags and their validation, the -jsonl/-csv streaming outputs,
-// the -trace sink, and — via ShardSet and Drive — the sharded/resumable
-// sweep modes (-shard, -resume, -out, -merge, -serve, -join), so each
-// flag's name, usage text and parsing live in exactly one place.
+// the -trace Chrome-trace output (a *trace.Tracer, assignable straight to
+// any config's Trace field — nil when -trace is unset), and — via ShardSet
+// and Drive — the sharded/resumable sweep modes (-shard, -resume, -out,
+// -merge, -serve, -join), so each flag's name, usage text and parsing live
+// in exactly one place.
 package cliutil
 
 import (
@@ -130,18 +132,6 @@ func (t *TraceOut) Enable(force bool) *trace.Tracer {
 		return nil
 	}
 	t.Tracer = trace.NewTracer()
-	return t.Tracer
-}
-
-// Attacher returns the enabled tracer as a core.TraceAttacher, or an
-// untyped nil when tracing is off. Callers with interface-typed config
-// fields must use this instead of assigning Enable's *trace.Tracer
-// directly: a typed-nil pointer in the interface is non-nil and core
-// would call methods on it.
-func (t *TraceOut) Attacher() core.TraceAttacher {
-	if t.Tracer == nil {
-		return nil
-	}
 	return t.Tracer
 }
 

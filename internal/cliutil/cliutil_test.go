@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// The figure1 panic regression: Enable returns a typed-nil *trace.Tracer
-// when tracing is off, and assigning that directly to an interface-typed
-// config field (core.TraceAttacher) yields a non-nil interface whose
-// methods core then calls. Attacher must return an untyped nil instead.
-func TestTraceAttacherNilWhenDisabled(t *testing.T) {
+// TestTraceOutEnable: without -trace (and without force) Enable returns a
+// nil tracer, which a config's Trace field reads as "untraced"; forcing
+// creates one.
+func TestTraceOutEnable(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	to := BindTrace(fs)
 	if err := fs.Parse(nil); err != nil {
@@ -18,13 +17,10 @@ func TestTraceAttacherNilWhenDisabled(t *testing.T) {
 	if tr := to.Enable(false); tr != nil {
 		t.Fatalf("Enable(false) with no -trace = %v, want nil", tr)
 	}
-	if a := to.Attacher(); a != nil {
-		t.Fatalf("disabled Attacher() = %#v, want untyped nil interface", a)
+	if err := to.Write(); err != nil {
+		t.Fatalf("Write with tracing off: %v", err)
 	}
-	if tr := to.Enable(true); tr == nil {
-		t.Fatal("Enable(true) did not create a tracer")
-	}
-	if a := to.Attacher(); a == nil {
-		t.Fatal("enabled Attacher() = nil, want the tracer")
+	if tr := to.Enable(true); tr == nil || to.Tracer != tr {
+		t.Fatal("Enable(true) did not create and keep a tracer")
 	}
 }

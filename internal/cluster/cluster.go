@@ -97,7 +97,8 @@ type Config struct {
 	// link counters per machine (pids are fleet indices), job spans,
 	// dispatch instants and queue-depth counters — into a Chrome-trace
 	// sink. Traced runs skip the runtime pool (tracer observers hold *Task
-	// beyond each job).
+	// beyond each job). Runtime.Observer must be nil: Trace is the only way
+	// to observe a job's tasks.
 	Trace *trace.Tracer
 	// Monitor optionally publishes live snapshots of the run for the HTTP
 	// monitor (see Monitor).
@@ -161,6 +162,9 @@ func (c *Config) validate() error {
 	}
 	if c.Jobs < 1 {
 		return fmt.Errorf("cluster: need at least one job, got %d", c.Jobs)
+	}
+	if c.Runtime.Observer != nil {
+		return fmt.Errorf("cluster: Runtime.Observer must be nil; record jobs through Trace or Observer")
 	}
 	return nil
 }
@@ -334,7 +338,7 @@ func (f *fleetRun) start(id, m int) {
 	}
 	opts := f.cfg.Runtime
 	opts.Seed = job.Seed
-	if opts.Observer == nil && f.machObs != nil {
+	if f.machObs != nil {
 		opts.Observer = f.machObs[m]
 	}
 	r := rt.NewRuntime(f.machines[m], pol, opts)
@@ -355,10 +359,10 @@ func (f *fleetRun) finish(r *rt.Runtime, id, m int, res rt.Result) {
 			f.err = err
 		}
 	}
-	if f.cfg.Runtime.Observer == nil && f.machObs == nil {
-		// The Release-vs-Observer contract: with any observer configured —
-		// the user's or the tracer's — *Task pointers outlive the job, so
-		// the runtime must not be recycled into the pool.
+	if f.cfg.Trace == nil {
+		// The Release-vs-Observer contract: the tracer's observer holds
+		// *Task pointers beyond the job, so a traced runtime must not be
+		// recycled into the pool.
 		r.Release()
 	}
 	f.disp.Update(m, -1)

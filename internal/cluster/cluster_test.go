@@ -12,6 +12,7 @@ import (
 	"numadag/internal/machine"
 	"numadag/internal/rt"
 	"numadag/internal/sim"
+	"numadag/internal/trace"
 	"numadag/internal/xrand"
 )
 
@@ -475,5 +476,26 @@ func TestClusterValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("invalid config accepted: %+v", cfg)
 		}
+	}
+}
+
+// rtObserver is a do-nothing rt.Observer.
+type rtObserver struct{}
+
+func (rtObserver) TaskEnd(*rt.Task)                                   {}
+func (rtObserver) TransferLanded(*rt.Task, int, int, int64, sim.Time) {}
+func (rtObserver) TaskStolen(*rt.Task, int, int)                      {}
+
+// TestRunRejectsRuntimeObserver: jobs' tasks are observed through Trace
+// only, so a caller-set Runtime.Observer is a config error, traced or not.
+func TestRunRejectsRuntimeObserver(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Runtime.Observer = rtObserver{}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Runtime.Observer") {
+		t.Fatalf("Run with Runtime.Observer: err = %v", err)
+	}
+	cfg.Trace = trace.NewTracer()
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Runtime.Observer") {
+		t.Fatalf("traced Run with Runtime.Observer: err = %v", err)
 	}
 }

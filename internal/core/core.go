@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -14,8 +15,13 @@ import (
 	"numadag/internal/metrics"
 	"numadag/internal/policy"
 	"numadag/internal/rt"
+	"numadag/internal/trace"
 	"numadag/internal/workload"
 )
+
+// errObserver rejects a caller-set Runtime.Observer: audited runs record
+// through Trace, which also keeps the pooling rule in one place.
+var errObserver = errors.New("core: Runtime.Observer must be nil; attach a trace.Tracer via Trace instead")
 
 // PolicyNames lists the Figure-1 configurations in the paper's legend
 // order. LAS is the baseline all speedups are relative to. The full set of
@@ -30,16 +36,6 @@ func NewPolicy(spec string) (rt.Policy, error) {
 	return policy.New(spec)
 }
 
-// TraceAttacher hooks a simulated machine up to a trace sink before a run —
-// trace.Tracer implements it. It is an interface here so core does not
-// depend on the trace package; the returned observer is installed on the
-// runtime when the caller has not configured one of their own (a user
-// observer wins the Observer slot; machine-level flow/counter hooks record
-// either way).
-type TraceAttacher interface {
-	AttachMachine(m *machine.Machine, pid int, name string) rt.Observer
-}
-
 // Config describes one simulation run. App is a workload registry spec —
 // a benchmark name ("jacobi"), a parameterized generator
 // ("random-layered?layers=24&width=96") or an imported DAG
@@ -51,12 +47,13 @@ type Config struct {
 	Policy  string
 	Machine machine.Config
 	Runtime rt.Options
-	// Trace, when non-nil, records the run into a trace sink: the machine is
-	// attached under process id TracePID and the attacher's observer is
-	// installed unless Runtime.Observer is already set. Traced runs bypass
-	// the runtime and machine pools — tracer hooks cannot be detached, and
-	// observers may hold *Task beyond the run.
-	Trace    TraceAttacher
+	// Trace, when non-nil, records the run: the machine is attached under
+	// process id TracePID and the tracer's observer is installed on the
+	// runtime. Runtime.Observer must be nil — the tracer is the only
+	// observer an audited run takes. Traced runs bypass the runtime and
+	// machine pools: tracer hooks cannot be detached, and the tracer holds
+	// *Task beyond the run.
+	Trace    *trace.Tracer
 	TracePID int
 }
 
@@ -92,19 +89,20 @@ func Run(cfg Config) (RunResult, error) {
 // path — bit-identical to rebuilding), an already-resolved workload, or
 // resolving cfg.App through the workload registry.
 func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, error) {
+	if cfg.Runtime.Observer != nil {
+		return RunResult{}, errObserver
+	}
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return RunResult{}, err
 	}
 	m := acquireMachine(cfg.Machine)
+	opts := cfg.Runtime
 	if cfg.Trace != nil {
-		obs := cfg.Trace.AttachMachine(m, cfg.TracePID,
+		opts.Observer = cfg.Trace.AttachMachine(m, cfg.TracePID,
 			fmt.Sprintf("%s %s seed%d", cfg.App, cfg.Policy, cfg.Runtime.Seed))
-		if cfg.Runtime.Observer == nil {
-			cfg.Runtime.Observer = obs
-		}
 	}
-	r := rt.NewRuntime(m, pol, cfg.Runtime)
+	r := rt.NewRuntime(m, pol, opts)
 	if snap != nil {
 		snap.Install(r)
 	} else {
@@ -123,13 +121,13 @@ func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, er
 	if err := r.AuditSchedule(); err != nil {
 		return RunResult{}, fmt.Errorf("core: %s/%s: %w", cfg.App, cfg.Policy, err)
 	}
-	if cfg.Runtime.Observer == nil && cfg.Trace == nil {
-		// No observer and no tracer means nothing outside this function saw
-		// a *Task, a *Region or the machine: the audit has run, the Result
-		// slices are per-run, and both the runtime's arenas and the
-		// machine/engine pair can go back to their pools for the next cell.
-		// Traced machines carry undetachable flow hooks and flushers, so
-		// they never re-enter the pool.
+	if cfg.Trace == nil {
+		// No tracer means nothing outside this function saw a *Task, a
+		// *Region or the machine: the audit has run, the Result slices are
+		// per-run, and both the runtime's arenas and the machine/engine
+		// pair can go back to their pools for the next cell. Traced
+		// machines carry undetachable flow hooks and flushers, so they
+		// never re-enter the pool.
 		r.Release()
 		releaseMachine(m)
 	}
@@ -201,9 +199,8 @@ type Figure1Options struct {
 	Seeds int
 	// Apps optionally restricts the benchmark list (nil = all eight).
 	Apps []string
-	// Trace optionally records every grid cell into a trace sink (see
-	// Experiment.Trace).
-	Trace TraceAttacher
+	// Trace optionally records every grid cell (see Experiment.Trace).
+	Trace *trace.Tracer
 }
 
 // DefaultFigure1Options returns the paper-faithful settings.

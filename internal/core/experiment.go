@@ -11,6 +11,7 @@ import (
 	"numadag/internal/apps"
 	"numadag/internal/machine"
 	"numadag/internal/rt"
+	"numadag/internal/trace"
 	"numadag/internal/workload"
 )
 
@@ -91,19 +92,16 @@ type Experiment struct {
 	Variants []Variant
 	// Runtime is the base runtime options every cell starts from; the zero
 	// value means rt.DefaultOptions(). Runtime.Seed is the base seed of
-	// replicate 0 (see DeriveSeed). A non-nil Runtime.Observer is shared by
-	// every cell and receives callbacks from concurrently executing runs —
-	// it must be safe for concurrent use, or the experiment must set
-	// Workers to 1.
+	// replicate 0 (see DeriveSeed). Runtime.Observer must be nil; record
+	// cells through Trace.
 	Runtime rt.Options
 	// Seeds is the number of replicates per cell; 0 means 1.
 	Seeds int
-	// Trace, when non-nil, records every cell into the trace sink, each cell
-	// attached under its canonical Index as the process id — so a grid's
-	// trace holds one deterministic "process" per cell even when cells run
-	// concurrently. Traced cells bypass the runtime/machine pools (see
-	// Config.Trace).
-	Trace TraceAttacher
+	// Trace, when non-nil, records every cell, each attached under its
+	// canonical Index as the process id — so a grid's trace holds one
+	// deterministic "process" per cell even when cells run concurrently.
+	// Traced cells bypass the runtime/machine pools (see Config.Trace).
+	Trace *trace.Tracer
 	// Workers caps the worker pool; 0 means GOMAXPROCS.
 	Workers int
 	// TDGCache bounds the per-experiment snapshot cache that shares each
@@ -144,6 +142,9 @@ type plan struct {
 func (e *Experiment) plans() ([]plan, error) {
 	if len(e.Policies) == 0 {
 		return nil, errors.New("core: experiment has no policies")
+	}
+	if e.Runtime.Observer != nil {
+		return nil, errObserver
 	}
 	if e.Seeds < 0 || e.Workers < 0 {
 		return nil, fmt.Errorf("core: negative Seeds/Workers")
@@ -201,16 +202,11 @@ func (e *Experiment) plans() ([]plan, error) {
 	return ps, nil
 }
 
+// baseOptions resolves the zero Runtime to the defaults. plans has already
+// rejected a non-nil Observer, so the comparison cannot panic.
 func (e *Experiment) baseOptions() rt.Options {
-	// Compare with the Observer masked out: interface comparison would
-	// panic on uncomparable Observer implementations, and an Observer-only
-	// Runtime still means "default options, plus my observer".
-	masked := e.Runtime
-	masked.Observer = nil
-	if masked == (rt.Options{}) {
-		o := rt.DefaultOptions()
-		o.Observer = e.Runtime.Observer
-		return o
+	if e.Runtime == (rt.Options{}) {
+		return rt.DefaultOptions()
 	}
 	return e.Runtime
 }

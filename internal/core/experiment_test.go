@@ -8,6 +8,7 @@ import (
 	"numadag/internal/apps"
 	"numadag/internal/machine"
 	"numadag/internal/rt"
+	"numadag/internal/sim"
 )
 
 func TestExperimentCellEnumeration(t *testing.T) {
@@ -170,35 +171,35 @@ func TestExperimentVariantCannotOverrideSeed(t *testing.T) {
 // nopObserver is a minimal rt.Observer for option-plumbing tests.
 type nopObserver struct{}
 
-func (nopObserver) TaskStart(*rt.Task) {}
-func (nopObserver) TaskEnd(*rt.Task)   {}
+func (nopObserver) TaskEnd(*rt.Task)                                   {}
+func (nopObserver) TransferLanded(*rt.Task, int, int, int64, sim.Time) {}
+func (nopObserver) TaskStolen(*rt.Task, int, int)                      {}
 
-func TestExperimentObserverOnlyRuntimeKeepsDefaults(t *testing.T) {
-	e := &Experiment{
-		Apps:     []string{"jacobi"},
-		Policies: []string{"LAS"},
-		Scale:    apps.Tiny,
-		Runtime:  rt.Options{Observer: nopObserver{}},
-		Workers:  1,
+// TestExperimentRejectsRuntimeObserver: a grid records through Trace only.
+// A caller-set Runtime.Observer is an error before any cell runs or any
+// sink sees a result — and before Runtime is compared with its zero value,
+// which would panic on an uncomparable Observer.
+func TestExperimentRejectsRuntimeObserver(t *testing.T) {
+	type uncomparable struct {
+		nopObserver
+		_ []int
 	}
-	def := rt.DefaultOptions()
-	err := e.Run(context.Background(), SinkFunc(func(res CellResult) error {
-		got := res.Config.Runtime
-		if got.Observer == nil {
-			t.Error("observer dropped")
+	for _, obs := range []rt.Observer{nopObserver{}, uncomparable{}} {
+		e := &Experiment{
+			Apps:     []string{"jacobi"},
+			Policies: []string{"LAS"},
+			Scale:    apps.Tiny,
+			Runtime:  rt.Options{Observer: obs},
+			Workers:  1,
 		}
-		if got.WindowSize != def.WindowSize || got.Steal != def.Steal ||
-			got.StealThreshold != def.StealThreshold ||
-			got.PartitionCostPerTask != def.PartitionCostPerTask {
-			t.Errorf("observer-only Runtime lost defaults: %+v", got)
+		emitted := 0
+		err := e.Run(context.Background(), SinkFunc(func(CellResult) error { emitted++; return nil }))
+		if !errors.Is(err, errObserver) {
+			t.Fatalf("Run with Runtime.Observer %T: err = %v, want errObserver", obs, err)
 		}
-		if got.Seed != DeriveSeed(def.Seed, 0) {
-			t.Errorf("observer-only Runtime seed %d", got.Seed)
+		if emitted != 0 {
+			t.Fatalf("Run with Runtime.Observer emitted %d cells", emitted)
 		}
-		return nil
-	}))
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"numadag/internal/apps"
@@ -8,18 +9,11 @@ import (
 	"numadag/internal/trace"
 )
 
-// countTasks is a minimal user observer: any non-nil Observer must keep the
-// runtime out of the pool (the observer may retain *Task beyond the run).
-type countTasks struct{ n int }
-
-func (c *countTasks) TaskStart(*rt.Task) {}
-func (c *countTasks) TaskEnd(*rt.Task)   { c.n++ }
-
 // TestReleaseVsObserverContract pins the pooling rule tracing depends on:
 // a plain run recycles its pooled runtime (rt.Releases advances), while a
-// run with a Trace attacher or a user Observer must NOT — tracer hooks are
-// undetachable and observers may hold tasks, so recycling either would leak
-// one cell's instrumentation into the next cell's run.
+// run with a Tracer attached must NOT — tracer hooks are undetachable and
+// the tracer holds tasks, so recycling would leak one cell's
+// instrumentation into the next cell's run.
 func TestReleaseVsObserverContract(t *testing.T) {
 	cfg := DefaultConfig("forkjoin?depth=3&fanout=2", "LAS", apps.Tiny)
 
@@ -44,31 +38,24 @@ func TestReleaseVsObserverContract(t *testing.T) {
 	if res.Tasks == 0 {
 		t.Error("traced run produced no tasks")
 	}
+	if traced.Trace.Spans() == 0 {
+		t.Error("traced run recorded no spans")
+	}
+}
 
-	observed := cfg
-	obs := &countTasks{}
-	observed.Runtime.Observer = obs
-	before = rt.Releases()
-	if _, err := Run(observed); err != nil {
-		t.Fatal(err)
+// TestRunRejectsRuntimeObserver: the tracer is the only observer an
+// audited run takes, with or without a Tracer alongside.
+func TestRunRejectsRuntimeObserver(t *testing.T) {
+	cfg := DefaultConfig("forkjoin?depth=3&fanout=2", "LAS", apps.Tiny)
+	cfg.Runtime.Observer = nopObserver{}
+	if _, err := Run(cfg); !errors.Is(err, errObserver) {
+		t.Fatalf("Run with Runtime.Observer: err = %v, want errObserver", err)
 	}
-	if got := rt.Releases(); got != before {
-		t.Errorf("observed run recycled %d pooled runtime(s); observers may retain *Task", got-before)
+	cfg.Trace = trace.NewTracer()
+	if _, err := Run(cfg); !errors.Is(err, errObserver) {
+		t.Fatalf("traced Run with Runtime.Observer: err = %v, want errObserver", err)
 	}
-	if obs.n == 0 {
-		t.Error("user observer saw no tasks")
-	}
-
-	// When both are configured, the user observer keeps the Observer slot
-	// and the tracer still records via its machine-level hooks.
-	both := cfg
-	both.Trace = trace.NewTracer()
-	both.TracePID = 1
-	both.Runtime.Observer = &countTasks{}
-	if _, err := Run(both); err != nil {
-		t.Fatal(err)
-	}
-	if both.Trace.(*trace.Tracer).Spans() == 0 {
-		t.Error("tracer recorded no spans when sharing the run with a user observer")
+	if n := cfg.Trace.Spans(); n != 0 {
+		t.Fatalf("rejected run recorded %d spans", n)
 	}
 }

@@ -301,6 +301,20 @@ func (m *Machine) Hops(from, to int) int {
 	return 1
 }
 
+// HopMatrix returns Hops for every socket pair: the distance matrix the
+// partitioner maps task graphs onto.
+func (m *Machine) HopMatrix() [][]int {
+	n := m.Sockets()
+	d := make([][]int, n)
+	for i := range d {
+		d[i] = make([]int, n)
+		for j := range d[i] {
+			d[i][j] = m.Hops(i, j)
+		}
+	}
+	return d
+}
+
 // Latency returns the DRAM access latency from a core on socket `from`
 // to memory homed on socket `to`.
 func (m *Machine) Latency(from, to int) sim.Time {

@@ -200,7 +200,7 @@ func (p *RGP) Prepare(r *rt.Runtime) {
 		p.ready = true
 		return
 	}
-	arch := &partition.Arch{Dist: distanceMatrix(r)}
+	arch := &partition.Arch{Dist: r.Machine().HopMatrix()}
 	limit := 1
 	if p.Propagate == PropagateRepartition {
 		limit = nWindows
@@ -301,16 +301,3 @@ func (p *RGP) PickSocket(r *rt.Runtime, t *rt.Task) int {
 
 // WindowsPartitioned reports how many windows Prepare partitioned.
 func (p *RGP) WindowsPartitioned() int { return p.windowsCut }
-
-// distanceMatrix extracts the machine's socket distance matrix.
-func distanceMatrix(r *rt.Runtime) [][]int {
-	n := r.Machine().Sockets()
-	d := make([][]int, n)
-	for i := range d {
-		d[i] = make([]int, n)
-		for j := range d[i] {
-			d[i][j] = r.Machine().Hops(i, j)
-		}
-	}
-	return d
-}

@@ -70,8 +70,8 @@ func TestInstallSteadyStateAllocs(t *testing.T) {
 // observer hooks must stay un-taken branches — the traced path wraps every
 // cross-socket transfer completion in a fresh closure, and that wrapper
 // must never be paid by plain runs. The layered graph on AnySocket with
-// stealing exercises transfers (obsXfer nil-check) and steals (obsSteal
-// nil-check); what remains per cycle is the per-run constant: the TDG
+// stealing exercises transfers and steals (each an Observer nil-check);
+// what remains per cycle is the per-run constant: the TDG
 // handle and the escaping Result slices — measured 4 allocs/op. The bound
 // leaves headroom over 4 but sits far below the dozens of transfer-wrapper
 // closures one traced run of this graph pays, so a hook leaking onto the

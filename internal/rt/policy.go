@@ -1,5 +1,7 @@
 package rt
 
+import "numadag/internal/sim"
+
 // Placement constants a Policy may return from PickSocket besides a
 // concrete socket index.
 const (
@@ -28,36 +30,24 @@ type Preparer interface {
 	Prepare(rt *Runtime)
 }
 
-// Observer receives execution lifecycle callbacks; trace sinks implement it.
-// An Observer may additionally implement TransferObserver and StealObserver;
-// the runtime type-asserts once at construction and invokes the extended
-// callbacks only when implemented, so the base interface stays small and
-// existing observers keep working. Observers must treat every callback as
-// read-only: they run inside the event loop and anything they change
-// (placement, queues, RNG state) would perturb the simulation.
+// Observer receives execution lifecycle callbacks; trace.Tracer implements
+// it. Observers must treat every callback as read-only: they run inside the
+// event loop and anything they change (placement, queues, RNG state) would
+// perturb the simulation.
 type Observer interface {
-	TaskStart(t *Task)
+	// TaskEnd fires when t completes; its Core, Socket, StartAt and EndAt
+	// are final.
 	TaskEnd(t *Task)
-}
-
-// TransferObserver is an optional Observer extension receiving the data
-// movement of each task phase: TransferStart fires when the runtime launches
-// a transfer of bytes between memory homed on socket `home` and task t's
-// executing socket `exec` (reads pull from home, writes push to it), and
-// TransferEnd fires at the instant the last byte lands, before the phase
-// continuation runs. Only non-empty transfers are reported; zero-byte
-// phases complete without callbacks.
-type TransferObserver interface {
-	TransferStart(t *Task, home, exec int, bytes int64)
-	TransferEnd(t *Task, home, exec int, bytes int64)
-}
-
-// StealObserver is an optional Observer extension notified when an idle
-// core robs a task across sockets: victim is the socket the task was queued
-// on, thief the socket of the stealing core. The callback runs at the steal
-// instant, before the task starts executing (its Core/Socket fields are not
-// yet assigned).
-type StealObserver interface {
+	// TransferLanded fires at the instant the last byte of one of t's
+	// transfers lands, before the phase continuation runs: bytes moved
+	// between memory homed on socket home and t's executing socket exec
+	// (reads pull from home, writes push to it), launched at start. Only
+	// non-empty transfers are reported.
+	TransferLanded(t *Task, home, exec int, bytes int64, start sim.Time)
+	// TaskStolen fires when an idle core robs t across sockets: victim is
+	// the socket t was queued on, thief the socket of the stealing core. It
+	// runs at the steal instant, before t starts (its Core/Socket fields
+	// are not yet assigned).
 	TaskStolen(t *Task, victim, thief int)
 }
 

@@ -34,7 +34,10 @@ type Options struct {
 	// when a policy partitions a window (RGP's SCOTCH invocation). The
 	// runtime multiplies it by the window's task count.
 	PartitionCostPerTask sim.Time
-	// Observer optionally receives task lifecycle events (tracing).
+	// Observer optionally receives task lifecycle events: the observer
+	// trace.Tracer.AttachMachine returns. The audited runners (core,
+	// cluster) set it themselves from their Trace field and reject a
+	// caller-set one.
 	Observer Observer
 }
 
@@ -94,11 +97,6 @@ type Runtime struct {
 	released   bool
 	remaining  int  // tasks not yet done
 	stealVeto  bool // policy forbids cross-socket stealing
-
-	// Optional Observer extensions, type-asserted once at NewRuntime so the
-	// hot path tests one nil field instead of a dynamic assertion per event.
-	obsXfer  TransferObserver
-	obsSteal StealObserver
 
 	// Async-completion state (Start). onDone non-nil marks a runtime whose
 	// caller drives the engine externally — the cluster simulator, where many
@@ -226,10 +224,6 @@ func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 	if v, ok := pol.(StealVeto); ok && v.VetoSteal() {
 		r.stealVeto = true
 	}
-	if o := opts.Observer; o != nil {
-		r.obsXfer, _ = o.(TransferObserver)
-		r.obsSteal, _ = o.(StealObserver)
-	}
 	return r
 }
 
@@ -317,8 +311,10 @@ func resetSlice[T any](s []T, n int) []T {
 // reuse by future NewRuntime calls. The caller must own the runtime
 // exclusively and retain no references to its tasks or regions afterwards —
 // in particular Release must not be used when an Observer was configured,
-// since observers typically hold *Task beyond the run. The per-run Result
-// (and its slices) remains valid. Release is a no-op on a second call.
+// since observers may hold *Task beyond the run. core and cluster install
+// only a trace.Tracer's observer, so their one pool-release check is "no
+// Tracer attached". The per-run Result (and its slices) remains valid.
+// Release is a no-op on a second call.
 func (r *Runtime) Release() {
 	if r.running {
 		panic("rt: Release during Run")
@@ -348,7 +344,7 @@ func (r *Runtime) Release() {
 
 // releases counts completed Release calls process-wide; tests use it to
 // assert the Release-vs-Observer contract (a runner must not recycle a
-// runtime whose tasks an observer may still hold).
+// runtime whose tasks a tracer may still hold).
 var releases atomic.Uint64
 
 // Releases returns the number of runtimes released to the pool since
@@ -878,8 +874,8 @@ func (r *Runtime) pickWork(core int) *Task {
 			t := q.popBack() // steal the youngest: oldest stays local
 			t.Stolen = true
 			r.stats.Steals++
-			if r.obsSteal != nil {
-				r.obsSteal.TaskStolen(t, v.s, s)
+			if r.opts.Observer != nil {
+				r.opts.Observer.TaskStolen(t, v.s, s)
 			}
 			return t
 		}
@@ -889,8 +885,8 @@ func (r *Runtime) pickWork(core int) *Task {
 				t := q.popBack()
 				t.Stolen = true
 				r.stats.Steals++
-				if r.obsSteal != nil {
-					r.obsSteal.TaskStolen(t, v.s, s)
+				if r.opts.Observer != nil {
+					r.opts.Observer.TaskStolen(t, v.s, s)
 				}
 				return t
 			}
@@ -963,9 +959,6 @@ func (r *Runtime) execute(core int, t *Task) {
 	t.Socket = socket
 	t.StartAt = r.Now()
 	r.stats.SocketTasks[socket]++
-	if r.opts.Observer != nil {
-		r.opts.Observer.TaskStart(t)
-	}
 
 	r.readPhase(core, t, r.coreConts[core].afterRead)
 }
@@ -1043,15 +1036,14 @@ func (r *Runtime) fanOutTransfers(core, execSocket int, perHome []int64, done fu
 			r.stats.RemoteByteHops += int64(hops) * b
 		}
 		onLand := cc.onTransfer
-		if r.obsXfer != nil {
-			// Wrap the landing continuation so TransferEnd fires at the exact
-			// completion instant, before the phase countdown. The closure
-			// allocates, but only on the traced path — untraced runs keep the
-			// prebuilt per-core continuation.
-			t, home, b := r.coreTask[core], home, b
-			r.obsXfer.TransferStart(t, home, execSocket, b)
+		if obs := r.opts.Observer; obs != nil {
+			// Wrap the landing continuation so TransferLanded fires at the
+			// exact completion instant, before the phase countdown. The
+			// closure allocates, but only on the observed path — unobserved
+			// runs keep the prebuilt per-core continuation.
+			t, home, b, start := r.coreTask[core], home, b, r.Now()
 			onLand = func() {
-				r.obsXfer.TransferEnd(t, home, execSocket, b)
+				obs.TransferLanded(t, home, execSocket, b, start)
 				cc.onTransfer()
 			}
 		}

@@ -28,7 +28,10 @@
 // clears the task pointers a Submit-built run leaves in them. The two
 // Result slices and anything an Observer may retain escape the run and are
 // therefore always freshly allocated; Release is only legal when no
-// Observer was configured and the caller retains no *Task or *Region.
+// Observer was configured and the caller retains no *Task or *Region. The
+// audited runners (core.Run, Experiment.Run, cluster.Run) reject a
+// caller-set Observer and configure only a tracer's, so they release
+// exactly when no Tracer is attached.
 //
 // Recycling never trades away determinism: a pooled runtime re-runs a
 // configuration bit-identically to a fresh one (queue order, RNG stream,

@@ -35,7 +35,10 @@ type Journal struct {
 // experiment name, grid hash, total and shard), surviving records are
 // loaded — they become Done cells — and a partial final line (the crash
 // artifact of an interrupted write) is truncated away before appending
-// resumes. Without resume an existing file is overwritten.
+// resumes. A record whose cell index lies outside the grid, belongs to
+// another shard or repeats an earlier record fails the open: replaying it
+// would deliver a cell the grid does not have. Without resume an existing
+// file is overwritten.
 func OpenJournal(path string, h Header, resume bool) (*Journal, error) {
 	h.V = WireVersion
 	h.Kind = headerKind
@@ -103,6 +106,10 @@ func (j *Journal) load(path string, data []byte) (keep int64, err error) {
 			path, got.Experiment, got.ShardIndex, got.ShardCount, got.Grid,
 			want.Experiment, want.ShardIndex, want.ShardCount, want.Grid)
 	}
+	sp := Spec{Index: want.ShardIndex, Count: want.ShardCount}
+	if err := sp.Validate(); err != nil {
+		return 0, fmt.Errorf("shard: %s: %w", path, err)
+	}
 	for len(data) > nl+1 {
 		rest := data[nl+1:]
 		end := bytes.IndexByte(rest, '\n')
@@ -111,7 +118,20 @@ func (j *Journal) load(path string, data []byte) (keep int64, err error) {
 		if err != nil {
 			return 0, fmt.Errorf("shard: %s: record %d: %w", path, len(j.done)+1, err)
 		}
-		j.done[res.Cell.Index] = res
+		idx := res.Cell.Index
+		_, dup := j.done[idx]
+		switch {
+		case idx < 0 || idx >= want.Total:
+			err = fmt.Errorf("cell index %d outside the %d-cell grid", idx, want.Total)
+		case !sp.Owns(idx):
+			err = fmt.Errorf("cell index %d is not owned by shard %s", idx, sp)
+		case dup:
+			err = fmt.Errorf("cell index %d repeats an earlier record", idx)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("shard: %s: record %d: %w", path, len(j.done)+1, err)
+		}
+		j.done[idx] = res
 		nl += 1 + end
 	}
 	return int64(cut), nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -364,6 +365,76 @@ func TestJournalTornWrite(t *testing.T) {
 	}
 	if _, err := shard.OpenJournal(path, oh, true); err == nil {
 		t.Error("journal from a different grid resumed")
+	}
+}
+
+// fullJournal runs the 4-cell test grid into a fresh journal for shard sp
+// and returns the journal's bytes.
+func fullJournal(t testing.TB, sp shard.Spec) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "full.cells.jsonl")
+	e := testExperiment()
+	h, err := shard.HeaderFor(e, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := shard.OpenJournal(path, h, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := shard.NewCheckpointSink(j)
+	e.Skip = func(c core.Cell) bool { return sp.Skip(c) || cs.Skip(c) }
+	if err := e.Run(context.Background(), cs); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestJournalResumeRejectsForeignRecords: a resumed journal holds only
+// records the grid and shard can produce, each once. A record outside the
+// grid, owned by another shard or repeating an index would otherwise be
+// replayed to the sinks as an extra cell.
+func TestJournalResumeRejectsForeignRecords(t *testing.T) {
+	whole := fullJournal(t, shard.Spec{})
+	lines := bytes.SplitAfter(whole, []byte("\n"))
+	rec1 := lines[2] // the cell with index 1
+	if !bytes.Contains(rec1, []byte(`"index":1,`)) {
+		t.Fatalf("unexpected record order: %s", rec1)
+	}
+	half := fullJournal(t, shard.Spec{Index: 0, Count: 2})
+	for _, tc := range []struct {
+		name string
+		sp   shard.Spec
+		data []byte
+	}{
+		{"index outside the grid", shard.Spec{}, append(append([]byte{}, whole...),
+			bytes.Replace(rec1, []byte(`"index":1,`), []byte(`"index":99,`), 1)...)},
+		{"negative index", shard.Spec{}, append(append([]byte{}, whole...),
+			bytes.Replace(rec1, []byte(`"index":1,`), []byte(`"index":-1,`), 1)...)},
+		{"repeated index", shard.Spec{}, append(append([]byte{}, whole...), rec1...)},
+		{"index of another shard", shard.Spec{Index: 0, Count: 2}, append(append([]byte{}, half...), rec1...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := shard.HeaderFor(testExperiment(), tc.sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "j.cells.jsonl")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if j, err := shard.OpenJournal(path, h, true); err == nil {
+				j.Close()
+				t.Fatalf("resume accepted the journal with %d cells", j.Len())
+			}
+		})
 	}
 }
 

@@ -16,83 +16,98 @@ type pinZero struct{}
 func (pinZero) Name() string                         { return "pin0" }
 func (pinZero) PickSocket(*rt.Runtime, *rt.Task) int { return 0 }
 
-func record(t *testing.T, n int) *Recorder {
+// record runs n independent single-output tasks pinned to socket 0 with a
+// Tracer attached as pid 0.
+func record(t *testing.T, n int) *Tracer {
 	t.Helper()
-	rec := NewRecorder()
+	tr := NewTracer()
 	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
-	r := rt.NewRuntime(m, pinZero{}, rt.Options{Observer: rec})
+	r := rt.NewRuntime(m, pinZero{}, rt.Options{Observer: tr.AttachMachine(m, 0, "pin0")})
 	for i := 0; i < n; i++ {
 		reg := r.Mem().Alloc("x", 4096, memory.Deferred, 0)
 		r.Submit(rt.TaskSpec{Label: "task", Flops: 1000,
 			Accesses: []rt.Access{{Region: reg, Mode: rt.Out}}, EPSocket: rt.NoEPHint})
 	}
 	r.Run()
-	return rec
+	return tr
 }
 
-func TestRecorderCapturesAllTasks(t *testing.T) {
-	rec := record(t, 10)
-	if rec.Len() != 10 {
-		t.Fatalf("recorded %d events, want 10", rec.Len())
+// taskSpans parses the trace and returns its ph=X spans on core lanes (the
+// tasks; transfer and flow spans carry their own names).
+func taskSpans(t *testing.T, tr *Tracer) []map[string]any {
+	t.Helper()
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range rec.Events() {
-		if e.End < e.Start {
-			t.Fatalf("event %v ends before it starts", e)
+	var top struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &top); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	var tasks []map[string]any
+	for _, e := range top.TraceEvents {
+		if e["ph"] == "X" && e["name"] == "task" {
+			tasks = append(tasks, e)
 		}
-		if e.Socket != 0 {
-			t.Fatalf("event on socket %d, want 0", e.Socket)
+	}
+	return tasks
+}
+
+// TestRecorderCapturesAllTasks: the tracer, used as a plain task recorder,
+// records one core-lane span per executed task.
+func TestRecorderCapturesAllTasks(t *testing.T) {
+	spans := taskSpans(t, record(t, 10))
+	if len(spans) != 10 {
+		t.Fatalf("recorded %d task spans, want 10", len(spans))
+	}
+	lo, hi := machine.New(machine.TwoSocketXeon(), sim.NewEngine()).CoresOf(0)
+	for _, e := range spans {
+		if e["dur"].(float64) < 0 {
+			t.Fatalf("span %v ends before it starts", e)
+		}
+		if c := int(e["tid"].(float64)); c < lo || c >= hi {
+			t.Fatalf("span on core %d, want a socket-0 core in [%d,%d)", c, lo, hi)
 		}
 	}
 }
 
 func TestChromeTraceIsValidJSON(t *testing.T) {
-	rec := record(t, 5)
-	var sb strings.Builder
-	if err := rec.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(parsed) != 5 {
-		t.Fatalf("trace has %d events", len(parsed))
-	}
-	for _, e := range parsed {
-		if e["ph"] != "X" {
-			t.Fatalf("event phase %v, want X", e["ph"])
-		}
-		if e["name"] != "task" {
-			t.Fatalf("event name %v", e["name"])
-		}
+	if n := len(taskSpans(t, record(t, 5))); n != 5 {
+		t.Fatalf("trace has %d task spans, want 5", n)
 	}
 }
 
 func TestGanttRender(t *testing.T) {
-	rec := record(t, 8)
 	var sb strings.Builder
-	if err := rec.WriteGantt(&sb, 16, 60); err != nil {
+	if err := record(t, 8).WriteGantt(&sb, 0, 60); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "core  0") {
+	if !strings.Contains(out, "core 0") {
 		t.Errorf("gantt missing core rows:\n%s", out)
 	}
 	if !strings.Contains(out, "#") {
 		t.Error("gantt shows no busy time")
 	}
-	if lines := strings.Count(out, "\n"); lines != 17 { // header + 16 cores
-		t.Errorf("gantt has %d lines, want 17", lines)
+	// Header + 16 cores + one flow lane (the tasks write to socket 0's
+	// memory controller).
+	if lines := strings.Count(out, "\n"); lines != 18 {
+		t.Errorf("gantt has %d lines, want 18:\n%s", lines, out)
 	}
 }
 
+// TestGanttEmptyRecorder: an attached machine that never ran renders a
+// chart with no spans.
 func TestGanttEmptyRecorder(t *testing.T) {
-	rec := NewRecorder()
+	tr := NewTracer()
+	tr.AttachMachine(machine.New(machine.TwoSocketXeon(), sim.NewEngine()), 0, "idle")
 	var sb strings.Builder
-	if err := rec.WriteGantt(&sb, 4, 0); err != nil {
+	if err := tr.WriteGantt(&sb, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "0 tasks") {
-		t.Error("empty gantt header wrong")
+	if !strings.Contains(sb.String(), "0 spans") {
+		t.Errorf("empty gantt header wrong:\n%s", sb.String())
 	}
 }

@@ -1,3 +1,7 @@
+// Package trace records execution timelines of the simulated machines and
+// renders them as Chrome trace-event JSON (load in Perfetto or
+// chrome://tracing) or as a plain-text Gantt chart — the role Paraver
+// traces play in the paper's workflow.
 package trace
 
 import (
@@ -85,10 +89,9 @@ type flowOpen struct {
 // experiment cells writing distinct pids never interleave events; rendering
 // walks pids in sorted order, keeping output deterministic.
 type proc struct {
-	pid     int
-	name    string
-	cores   int
-	sockets int
+	pid   int
+	name  string
+	cores int
 
 	schedTid  int
 	nextTid   int
@@ -101,11 +104,10 @@ type proc struct {
 	instants []instant
 
 	// Live (not yet closed) state.
-	openXfer []sim.Time // [core*sockets+home] start time, -1 when idle
-	flows    map[*sim.Flow]flowOpen
-	jobOpen  bool
-	jobName  string
-	jobTs    sim.Time
+	flows   map[*sim.Flow]flowOpen
+	jobOpen bool
+	jobName string
+	jobTs   sim.Time
 
 	// Counter dedup state: a sample identical to the last emitted one is
 	// dropped (flushes fire at every churn instant; most change nothing on
@@ -119,12 +121,11 @@ type proc struct {
 
 func newProc(pid int, name string, cores, sockets int) *proc {
 	p := &proc{
-		pid:     pid,
-		name:    name,
-		cores:   cores,
-		sockets: sockets,
-		subs:    make(map[string][]subLane),
-		flows:   make(map[*sim.Flow]flowOpen),
+		pid:   pid,
+		name:  name,
+		cores: cores,
+		subs:  make(map[string][]subLane),
+		flows: make(map[*sim.Flow]flowOpen),
 	}
 	for c := 0; c < cores; c++ {
 		p.laneNames = append(p.laneNames, fmt.Sprintf("core %d", c))
@@ -132,11 +133,7 @@ func newProc(pid int, name string, cores, sockets int) *proc {
 	p.schedTid = cores
 	p.laneNames = append(p.laneNames, "sched")
 	p.nextTid = cores + 1
-	if cores > 0 && sockets > 0 {
-		p.openXfer = make([]sim.Time, cores*sockets)
-		for i := range p.openXfer {
-			p.openXfer[i] = -1
-		}
+	if sockets > 0 {
 		p.lastMem = make([]float64, sockets)
 		p.lastLink = make([]float64, sockets)
 	}
@@ -181,8 +178,7 @@ func (tr *Tracer) ensureProc(pid int) *proc {
 // over m. The observer records task spans per core, transfer spans per core
 // group, and steal instants; independently of it, the tracer hooks m's fluid
 // network for flow spans and registers an end-of-instant engine flusher
-// sampling per-link utilization counters — so flows and counters are traced
-// even when the runtime's Observer slot is taken by a user observer.
+// sampling per-link utilization counters.
 //
 // Attach after the machine (and, on a shared engine, all machines) is
 // constructed, so the sampling flusher runs after the network's own
@@ -210,15 +206,7 @@ type machObserver struct {
 	m  *machine.Machine
 }
 
-var (
-	_ rt.Observer         = (*machObserver)(nil)
-	_ rt.TransferObserver = (*machObserver)(nil)
-	_ rt.StealObserver    = (*machObserver)(nil)
-)
-
-// TaskStart implements rt.Observer (spans are recorded at TaskEnd, when
-// both endpoints are known).
-func (o *machObserver) TaskStart(*rt.Task) {}
+var _ rt.Observer = (*machObserver)(nil)
 
 // TaskEnd implements rt.Observer: one ph=X span on the executing core's lane.
 func (o *machObserver) TaskEnd(t *rt.Task) {
@@ -233,32 +221,20 @@ func (o *machObserver) TaskEnd(t *rt.Task) {
 	o.tr.mu.Unlock()
 }
 
-// TransferStart implements rt.TransferObserver. A core runs one phase at a
-// time and a phase launches at most one transfer per home socket, so
-// (core, home) uniquely keys the open transfer.
-func (o *machObserver) TransferStart(t *rt.Task, home, exec int, bytes int64) {
-	o.tr.mu.Lock()
-	o.p.openXfer[t.Core*o.p.sockets+home] = o.m.Engine().Now()
-	o.tr.mu.Unlock()
-}
-
-// TransferEnd implements rt.TransferObserver: one ph=X span on the core's
+// TransferLanded implements rt.Observer: one ph=X span on the core's
 // transfer lane group ("xfer c<core>", sub-laned on overlap).
-func (o *machObserver) TransferEnd(t *rt.Task, home, exec int, bytes int64) {
+func (o *machObserver) TransferLanded(t *rt.Task, home, exec int, bytes int64, start sim.Time) {
 	now := o.m.Engine().Now()
 	o.tr.mu.Lock()
 	p := o.p
-	idx := t.Core*p.sockets + home
-	ts := p.openXfer[idx]
-	p.openXfer[idx] = -1
 	key := fmt.Sprintf("xfer c%d", t.Core)
-	tid := p.laneFor(key, ts, now)
+	tid := p.laneFor(key, start, now)
 	args := fmt.Sprintf(`{"home":%d,"exec":%d,"bytes":%d}`, home, exec, bytes)
-	p.spans = append(p.spans, span{tid: tid, key: key, name: "xfer", ts: ts, dur: now - ts, args: args})
+	p.spans = append(p.spans, span{tid: tid, key: key, name: "xfer", ts: start, dur: now - start, args: args})
 	o.tr.mu.Unlock()
 }
 
-// TaskStolen implements rt.StealObserver: a ph=i marker on the sched lane.
+// TaskStolen implements rt.Observer: a ph=i marker on the sched lane.
 func (o *machObserver) TaskStolen(t *rt.Task, victim, thief int) {
 	now := o.m.Engine().Now()
 	o.tr.mu.Lock()

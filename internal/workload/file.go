@@ -11,9 +11,9 @@ import (
 	"numadag/internal/rt"
 )
 
-// fileFactory imports a DAG serialized in cmd/dagpart's JSON format
-// ({"nodes":[{"label","weight"}],"edges":[{"from","to","weight"}]}) and
-// replays it as a task graph: node weights become task flops, and each edge
+// fileFactory imports a DAG serialized in the JSON format cmd/dagen -json
+// exports ({"nodes":[{"label","weight"}],"edges":[{"from","to","weight"}]})
+// and replays it as a task graph: node weights become task flops, and each edge
 // becomes a dedicated deferred region of the edge's byte weight, written by
 // the source task and read by the target — so the runtime's dependence
 // tracker re-derives exactly the imported edges with their weights. The
@@ -126,6 +126,6 @@ func FromDAG(name string, d *graph.DAG) (Workload, error) {
 
 func init() {
 	MustRegister("file",
-		"DAG imported from a dagpart-format JSON file [path, format]",
+		"DAG imported from a JSON file as written by dagen -json [path, format]",
 		fileFactory)
 }

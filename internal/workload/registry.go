@@ -61,8 +61,9 @@ func (w Workload) Key() string {
 }
 
 // Instantiate builds the workload into a fresh throwaway runtime over the
-// given machine config with a no-op policy — the path dagen and dagpart use
-// to inspect or export a TDG, and core uses to prototype one for rt.Snap.
+// given machine config with a no-op policy — the path cmd/dagen uses to
+// inspect, partition or export a TDG, and core uses to prototype one for
+// rt.Snap.
 func (w Workload) Instantiate(mc machine.Config) (*rt.Runtime, error) {
 	r := rt.NewRuntime(machine.New(mc, sim.NewEngine()), nopPolicy{}, rt.Options{})
 	if err := w.Build(r); err != nil {

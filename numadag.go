@@ -132,15 +132,15 @@
 // Quick start — workload specs:
 //
 // Wherever a benchmark name is accepted (Config.App, Experiment.Apps,
-// cmd/rgpsim -app, cmd/dagpart -app, cmd/dagen -spec), a full workload
-// registry spec works: "name?key=value&key=value". The registered
-// generators are the eight paper benchmarks (parameterizable:
-// "jacobi?nb=32&tile=1M&iters=4"), the synthetic families
-// "random-layered?layers=24&width=96&cv=0.4" and "forkjoin?depth=10&fanout=4",
-// and "file?path=graph.json" for DAGs in cmd/dagpart's JSON format. Two
-// keys are reserved on every workload: scale=tiny|small|paper overrides the
-// contextual scale and seed=N drives the generator's own randomness —
-// distinct from the runtime seed, so an N-replicate sweep reuses one graph.
+// cmd/sweep -apps, cmd/dagen -spec), a full workload registry spec works:
+// "name?key=value&key=value". The registered generators are the eight
+// paper benchmarks (parameterizable: "jacobi?nb=32&tile=1M&iters=4"), the
+// synthetic families "random-layered?layers=24&width=96&cv=0.4" and
+// "forkjoin?depth=10&fanout=4", and "file?path=graph.json" for DAGs in the
+// JSON format cmd/dagen -json exports. Two keys are reserved on every
+// workload: scale=tiny|small|paper overrides the contextual scale and
+// seed=N drives the generator's own randomness — distinct from the runtime
+// seed, so an N-replicate sweep reuses one graph.
 // Custom generators register like policies:
 //
 //	numadag.MustRegisterWorkload("chain", "linear pipeline [n]",
@@ -170,7 +170,8 @@
 // per-experiment cache (one build per workload x machine, shared across
 // policies, variants and replicate seeds); builders must therefore be pure
 // functions of (spec, scale, seed, machine) — set Workload.NoCache to opt
-// out. cmd/dagen lists, describes, generates and exports workloads.
+// out. cmd/dagen lists, describes, generates, exports, partitions and runs
+// workloads.
 //
 // Policy names are registry specs: "name?key=value" parameterizes a
 // registered family (e.g. the RGP partitioner ablations). Replicate seeds
@@ -560,27 +561,18 @@ func MapOnto(g *PGraph, arch *Arch, opt PartitionOptions) ([]int32, partition.St
 	return partition.MapOnto(g, arch, opt)
 }
 
-// Tracing.
-type (
-	// TraceRecorder collects task execution spans (implements the
-	// runtime's Observer).
-	TraceRecorder = trace.Recorder
-	// Tracer merges task, transfer, fluid-flow, link-utilization and
-	// cluster-dispatch events from any number of machines into one Chrome
-	// trace-event timeline (Perfetto-loadable). See the tracing quick start
-	// in the package documentation.
-	Tracer = trace.Tracer
-)
-
-// NewTraceRecorder returns an empty trace recorder; pass it in
-// RuntimeOptions.Observer.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
+// Tracer merges task, transfer, fluid-flow, link-utilization and
+// cluster-dispatch events from any number of machines into one Chrome
+// trace-event timeline (Perfetto-loadable). See the tracing quick start in
+// the package documentation.
+type Tracer = trace.Tracer
 
 // NewTracer returns an empty multi-source tracer. Set it as Config.Trace,
-// Experiment.Trace, Figure1Options.Trace or ClusterConfig.Trace; after the
-// run, WriteFile emits Chrome trace JSON and WriteGantt a text timeline.
-// Tracing observes without perturbing: a fixed-seed run is bit-identical
-// with or without it.
+// Experiment.Trace, Figure1Options.Trace or ClusterConfig.Trace, or trace a
+// hand-built runtime by setting RuntimeOptions.Observer to the observer
+// AttachMachine returns; after the run, WriteFile emits Chrome trace JSON
+// and WriteGantt a text timeline. Tracing observes without perturbing: a
+// fixed-seed run is bit-identical with or without it.
 func NewTracer() *Tracer { return trace.NewTracer() }
 
 // Service mode: online multi-tenant cluster simulation (cmd/dcsim).

@@ -80,21 +80,27 @@ func TestFacadeNames(t *testing.T) {
 	}
 }
 
+// TestFacadeTraceRecorder records a hand-built runtime through the facade's
+// Tracer.
 func TestFacadeTraceRecorder(t *testing.T) {
 	eng := numadag.NewEngine()
 	m := numadag.NewMachine(numadag.TwoSocketXeon(), eng)
 	pol, _ := numadag.NewPolicy("DFIFO")
-	rec := numadag.NewTraceRecorder()
+	tr := numadag.NewTracer()
 	opts := numadag.DefaultRuntimeOptions()
-	opts.Observer = rec
+	opts.Observer = tr.AttachMachine(m, 0, "facade")
 	r := numadag.NewRuntime(m, pol, opts)
 	reg := r.Mem().Alloc("x", 4096, numadag.Deferred, 0)
 	r.Submit(numadag.TaskSpec{Label: "t", Flops: 100,
 		Accesses: []numadag.Access{{Region: reg, Mode: numadag.Out}},
 		EPSocket: numadag.NoEPHint})
 	r.Run()
-	if rec.Len() != 1 {
-		t.Fatalf("trace recorded %d events", rec.Len())
+	var buf strings.Builder
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), `{"name":"t","ph":"X"`); n != 1 {
+		t.Fatalf("trace holds %d task spans, want 1:\n%s", n, buf.String())
 	}
 }
 

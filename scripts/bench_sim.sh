@@ -3,6 +3,11 @@
 # per benchmark with ns/op, allocs/op and (where reported) sim-ms/run — the
 # perf trajectory tracked across PRs.
 #
+# BENCH_sim.json gates allocs/op only (scripts/bench_check.sh). Its ns/op
+# is one sample per benchmark, with no host or commit recorded, so it is
+# not evidence for a timing claim: timing claims come from perfbench
+# (perfbench/run.py), run as alternating parent/change pairs on one host.
+#
 # Usage: scripts/bench_sim.sh [output-file]
 set -e
 cd "$(dirname "$0")/.."
