@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race test-allocs test-traced test-sharded bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
+.PHONY: build test test-short test-race test-allocs test-traced test-sharded bench bench-sim bench-json bench-check bench-ab fuzz-smoke vet fmt-check ci clean
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,8 @@ test-race:
 
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
-# hot paths — the simulator's flow churn and water-filling, the
+# hot paths — the simulator's flow churn and water-filling, a fleet step
+# (512 Nets on one engine: only the churned Net's flusher may run), the
 # partitioner's fmRefine and DAG symmetrization, induced-subgraph
 # extraction with a warmed scratch, snapshot Install into pooled runtime
 # arenas, a full nil-observer simulated run (the tracing hooks must cost
@@ -94,6 +95,19 @@ bench-check:
 	./scripts/bench_check.sh BENCH_sim.new.json BENCH_sim.json
 	rm -f BENCH_sim.new.json
 
+# Timing A/B on the repository benchmark: perfbench at revision BASE (default
+# HEAD) against the working tree, PAIRS (default 10) alternating pairs of
+# runs of WORKLOAD (default figure1) at SEED (default 1). Prints every pair,
+# then per metric both medians, the base IQR and the change's win count.
+# The base tree is exported under .bench_build/ab/; nothing is downloaded.
+# This is the protocol every timing claim uses (see scripts/bench_ab.py).
+BASE ?= HEAD
+WORKLOAD ?= figure1
+PAIRS ?= 10
+SEED ?= 1
+bench-ab:
+	python3 scripts/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
+
 # Short coverage-guided fuzz of the FM refiner (gain-bucket vs heap
 # reference), the fluid network's full-vs-incremental reallocation contract
 # (batched incremental fill vs the eager naive ladder, every state checked
@@ -107,9 +121,12 @@ bench-check:
 # workload spec parser (no panic; every accepted spec round-trips through
 # its canonical rendering), the file workload's DAG import (no panic;
 # every accepted graph's edges, weights and labels survive the replay
-# through the runtime's dependence tracker), and the journal's resume path
+# through the runtime's dependence tracker), the journal's resume path
 # (no panic on arbitrary file bytes; an accepted journal reopens to the
-# same done set and file bytes, and loses no accepted record line). The
+# same done set and file bytes, and loses no accepted record line), and the
+# memory regions' residency descriptor (random Alloc/Touch/Migrate/Reset
+# sequences against a per-page reference model: residency, byte sums and
+# the bytes Touch and Migrate report). The
 # seed corpora also run in plain `make test`; CI uploads any new crashers
 # as workflow artifacts.
 fuzz-smoke:
@@ -122,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=15s ./internal/workload
 	$(GO) test -fuzz=FuzzImportDAG -fuzztime=15s ./internal/workload
+	$(GO) test -fuzz=FuzzRegionOps -fuzztime=15s ./internal/memory
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must
 # survive a clean.

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"numadag/internal/slab"
 )
 
 // NodeID indexes a node within its DAG. IDs are dense: 0..N-1 in insertion
@@ -49,7 +51,7 @@ type DAG struct {
 	// ID. AddEdge keeps both sorted with a binary-search insert;
 	// AddNodeWithPreds appends to the predecessors' succ lists (the new node
 	// has the largest ID, so they stay sorted) and writes the new node's
-	// pred list whole.
+	// pred list whole, carving both kinds of list from slabs.
 	succ   [][]halfEdge
 	pred   [][]halfEdge
 	nEdges int
@@ -57,6 +59,10 @@ type DAG struct {
 	// lists from. Each list gets exact capacity, so a later AddEdge append
 	// moves the list instead of writing into its neighbor.
 	predSlab []halfEdge
+	// succSlab is the grow-only slab AddNodeWithPreds carves succ lists
+	// from (slab.Append, doubling a full list); the same exact-capacity
+	// rule applies. The regions lists move out of stay until Compact.
+	succSlab []halfEdge
 }
 
 type halfEdge struct {
@@ -178,11 +184,32 @@ func (g *DAG) AddNodeWithPreds(label string, weight int64, preds []Pred) NodeID 
 	}
 	id := g.AddNode(label, weight)
 	for _, h := range in {
-		g.succ[h.to] = append(g.succ[h.to], halfEdge{to: id, w: h.w})
+		g.succ[h.to] = slab.Append(&g.succSlab, g.succ[h.to], halfEdge{to: id, w: h.w}, succChunk)
 	}
 	g.pred[id] = in
 	g.nEdges += len(in)
 	return id
+}
+
+// succChunk is the smallest succ slab chunk; chunks grow by doubling.
+const succChunk = 64
+
+// Compact moves every succ list into one allocation of exactly the edge
+// count, releasing the slab chunks AddNodeWithPreds carved them from, with
+// their abandoned regions and unused tails. Call it when a graph stops
+// growing and will be kept; later mutation stays legal.
+func (g *DAG) Compact() {
+	n := 0
+	for _, s := range g.succ {
+		n += len(s)
+	}
+	all := make([]halfEdge, n)
+	for i, s := range g.succ {
+		k := copy(all, s)
+		g.succ[i] = all[:k:k]
+		all = all[k:]
+	}
+	g.succSlab = nil
 }
 
 // HasEdge reports whether from -> to exists.

@@ -464,6 +464,53 @@ func TestAddNodeWithPredsListsAreIsolated(t *testing.T) {
 	sameGraph(t, got, want)
 }
 
+// TestSuccSlabListsAreIsolated: succ lists carved from the slab, or packed
+// by Compact, have exact capacity, so AddEdge inserting into one afterwards
+// — at its front, in its middle, or past its capacity — never writes into
+// the list next to it. Random DAGs built through AddNodeWithPreds (every
+// other one compacted) then grown by random AddEdge calls must match the
+// same edges added by AddEdge alone.
+func TestSuccSlabListsAreIsolated(t *testing.T) {
+	rng := uint64(12345)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	for trial := 0; trial < 40; trial++ {
+		want, got := New(), New()
+		n := 2 + next(60)
+		for i := 0; i < n; i++ {
+			want.AddNode("", 1)
+			var preds []Pred
+			for from := 0; from < i; from++ {
+				if next(4) == 0 {
+					w := int64(1 + next(9))
+					want.AddEdge(NodeID(from), NodeID(i), w)
+					preds = append(preds, Pred{From: NodeID(from), Weight: w})
+				}
+			}
+			got.AddNodeWithPreds("", 1, preds)
+		}
+		if trial%2 == 1 {
+			got.Compact()
+			sameGraph(t, got, want)
+			for i, s := range got.succ {
+				if len(s) != cap(s) {
+					t.Fatalf("trial %d: node %d succ list has len %d, cap %d after Compact", trial, i, len(s), cap(s))
+				}
+			}
+		}
+		for k := next(3 * n); k > 0; k-- {
+			from := next(n - 1)
+			to := from + 1 + next(n-1-from)
+			w := int64(1 + next(9))
+			want.AddEdge(NodeID(from), NodeID(to), w)
+			got.AddEdge(NodeID(from), NodeID(to), w)
+		}
+		sameGraph(t, got, want)
+	}
+}
+
 func TestAddNodeWithPredsRejectsBadPreds(t *testing.T) {
 	for name, preds := range map[string][]Pred{
 		"duplicate":        {{From: 0, Weight: 1}, {From: 1, Weight: 1}, {From: 0, Weight: 2}},

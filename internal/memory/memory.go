@@ -14,8 +14,10 @@
 //     the producing task will run (Drebes et al.'s deferred allocation,
 //     the cornerstone of LAS); the first Touch then homes all pages at once.
 //
-// The Manager tracks per-socket residency so schedulers can ask "where does
-// this task's data live?" in O(sockets).
+// Every placement, and every Touch and Migrate, homes a whole region at
+// once, so a region stores one residency descriptor instead of a page
+// table, and schedulers ask "where does this task's data live?" in
+// O(sockets) per region regardless of its size.
 package memory
 
 import (
@@ -63,14 +65,26 @@ func (p Placement) String() string {
 // Unallocated marks a page with no home yet.
 const Unallocated = int16(-1)
 
+// interleaved is the residency of a region whose page i lives on socket
+// i mod sockets, as Alloc homes an Interleave region.
+const interleaved = int16(-2)
+
 // Region is a contiguous, named allocation whose pages may live on
 // different sockets.
+//
+// Every operation homes a whole region at once: Alloc by placement, Touch
+// every still-unallocated page (and a region is either entirely unallocated
+// or entirely homed), Migrate every page. So a region's residency is one
+// of three states — unallocated, every page on one socket, or the
+// Alloc-time interleave — and one descriptor, not a page table, records it.
+// Per-page views (Pages, HomeOfPage) are computed from it.
 type Region struct {
 	id    int
 	name  string
 	bytes int64
-	// homes[i] is the socket of page i, or Unallocated.
-	homes     []int16
+	pages int
+	// home is the socket of every page, Unallocated, or interleaved.
+	home      int16
 	pageSize  int64
 	placement Placement
 	mgr       *Manager
@@ -86,23 +100,24 @@ func (r *Region) Name() string { return r.name }
 func (r *Region) Bytes() int64 { return r.bytes }
 
 // Pages returns the number of pages.
-func (r *Region) Pages() int { return len(r.homes) }
+func (r *Region) Pages() int { return r.pages }
 
 // Placement returns the placement policy the region was created with.
 func (r *Region) Placement() Placement { return r.placement }
 
 // Allocated reports whether every page has a home.
-func (r *Region) Allocated() bool {
-	for _, h := range r.homes {
-		if h == Unallocated {
-			return false
-		}
-	}
-	return true
-}
+func (r *Region) Allocated() bool { return r.home != Unallocated }
 
 // HomeOfPage returns the home socket of page i, or Unallocated.
-func (r *Region) HomeOfPage(i int) int16 { return r.homes[i] }
+func (r *Region) HomeOfPage(i int) int16 {
+	if i < 0 || i >= r.pages {
+		panic(fmt.Sprintf("memory: page %d of %d", i, r.pages))
+	}
+	if r.home == interleaved {
+		return int16(i % r.mgr.sockets)
+	}
+	return r.home
+}
 
 // BytesOnSocket returns, per socket, the bytes of this region homed there.
 // Unallocated bytes are not counted.
@@ -115,89 +130,90 @@ func (r *Region) BytesOnSocket(sockets int) []int64 {
 // AddBytesOnSocket accumulates, per socket, the bytes of this region homed
 // there into out, whose length must cover every socket. It is the
 // allocation-free form of BytesOnSocket for schedulers that query residency
-// once per task.
+// once per task, and costs O(1), or O(sockets) for an interleaved region.
 func (r *Region) AddBytesOnSocket(out []int64) {
-	for i, h := range r.homes {
-		if h == Unallocated {
-			continue
+	switch r.home {
+	case Unallocated:
+	case interleaved:
+		for s := 0; s < r.mgr.sockets && s < r.pages; s++ {
+			out[s] += r.interleavedBytes(s)
 		}
-		out[h] += r.pageBytes(i)
+	default:
+		out[r.home] += r.bytes
 	}
+}
+
+// interleavedBytes returns the bytes the interleave homes on socket s: one
+// full page per page index congruent to s, less the missing tail of the
+// last page (partial, or empty for a zero-byte region) if s holds it.
+func (r *Region) interleavedBytes(s int) int64 {
+	n := r.mgr.sockets
+	pages := r.pages / n
+	if s < r.pages%n {
+		pages++
+	}
+	b := int64(pages) * r.pageSize
+	if s == (r.pages-1)%n {
+		b -= int64(r.pages)*r.pageSize - r.bytes
+	}
+	return b
 }
 
 // AllocatedBytes returns the bytes with a home.
 func (r *Region) AllocatedBytes() int64 {
-	var n int64
-	for i, h := range r.homes {
-		if h != Unallocated {
-			n += r.pageBytes(i)
-		}
-	}
-	return n
-}
-
-// pageBytes returns the size of page i (the last page may be partial, and
-// the placeholder page of a zero-byte region is empty).
-func (r *Region) pageBytes(i int) int64 {
-	if r.bytes == 0 {
+	if r.home == Unallocated {
 		return 0
 	}
-	if i == len(r.homes)-1 {
-		if rem := r.bytes % r.pageSize; rem != 0 {
-			return rem
-		}
-	}
-	return r.pageSize
+	return r.bytes
 }
 
 // Touch homes every still-unallocated page of the region on the given
 // socket (first-touch semantics) and returns the number of bytes newly
-// homed. Touching a fully allocated region is a cheap no-op.
+// homed. Touching an allocated region is a no-op.
 func (r *Region) Touch(socket int) int64 {
 	if socket < 0 || socket >= r.mgr.sockets {
 		panic(fmt.Sprintf("memory: touch on socket %d of %d", socket, r.mgr.sockets))
 	}
-	var newly int64
-	for i, h := range r.homes {
-		if h == Unallocated {
-			r.homes[i] = int16(socket)
-			newly += r.pageBytes(i)
-		}
+	if r.home != Unallocated {
+		return 0
 	}
-	return newly
+	r.home = int16(socket)
+	return r.bytes
 }
 
 // Migrate re-homes every page of the region to the given socket and returns
-// the bytes moved (pages already there are not counted). This is the
-// page-migration primitive OS-level techniques use; the paper's policies
-// don't migrate, but ablations can.
+// the bytes moved (pages already there, and unallocated pages, are not
+// counted). This is the page-migration primitive OS-level techniques use;
+// the paper's policies don't migrate, but ablations can.
 func (r *Region) Migrate(socket int) int64 {
 	if socket < 0 || socket >= r.mgr.sockets {
 		panic(fmt.Sprintf("memory: migrate to socket %d of %d", socket, r.mgr.sockets))
 	}
 	var moved int64
-	for i, h := range r.homes {
-		if h != int16(socket) {
-			if h != Unallocated {
-				moved += r.pageBytes(i)
-			}
-			r.homes[i] = int16(socket)
+	switch r.home {
+	case Unallocated:
+	case interleaved:
+		moved = r.bytes - r.interleavedBytes(socket)
+	default:
+		if int(r.home) != socket {
+			moved = r.bytes
 		}
 	}
+	r.home = int16(socket)
 	return moved
 }
 
 // Manager owns the regions of one simulated application run. A Manager can
-// be Reset and refilled: the Region structs and their page tables are kept
-// pointer-stable across resets, so a pooled runtime re-running the same
-// workload shape allocates no region state after the first run.
+// be Reset and refilled: the Region structs are kept pointer-stable across
+// resets, so a pooled runtime re-running the same workload shape allocates
+// no region state after the first run.
 type Manager struct {
 	sockets  int
 	pageSize int64
 	regions  []*Region
 	// pool holds every Region struct ever created, in ID order; regions is
 	// always pool[:n]. Reset just truncates, and Alloc revives pool entries
-	// (reusing their homes tables) before allocating fresh ones.
+	// before allocating fresh ones.
 	pool []*Region
 }
 
@@ -246,56 +262,44 @@ func (m *Manager) Alloc(name string, bytes int64, placement Placement, homeSocke
 	if nPages == 0 {
 		nPages = 1
 	}
+	home := Unallocated
+	switch placement {
+	case Deferred, FirstTouch:
+	case Interleave:
+		home = interleaved
+	case Home:
+		if homeSocket < 0 || homeSocket >= m.sockets {
+			panic(fmt.Sprintf("memory: home socket %d of %d", homeSocket, m.sockets))
+		}
+		home = int16(homeSocket)
+	default:
+		panic(fmt.Sprintf("memory: unknown placement %v", placement))
+	}
 	id := len(m.regions)
 	var r *Region
-	var homes []int16
 	if id < len(m.pool) {
 		r = m.pool[id]
-		if cap(r.homes) >= nPages {
-			homes = r.homes[:nPages]
-		}
 	} else {
 		r = &Region{}
 		m.pool = append(m.pool, r)
-	}
-	if homes == nil {
-		homes = make([]int16, nPages)
 	}
 	*r = Region{
 		id:        id,
 		name:      name,
 		bytes:     bytes,
-		homes:     homes,
+		pages:     nPages,
+		home:      home,
 		pageSize:  m.pageSize,
 		placement: placement,
 		mgr:       m,
-	}
-	switch placement {
-	case Deferred, FirstTouch:
-		for i := range r.homes {
-			r.homes[i] = Unallocated
-		}
-	case Interleave:
-		for i := range r.homes {
-			r.homes[i] = int16(i % m.sockets)
-		}
-	case Home:
-		if homeSocket < 0 || homeSocket >= m.sockets {
-			panic(fmt.Sprintf("memory: home socket %d of %d", homeSocket, m.sockets))
-		}
-		for i := range r.homes {
-			r.homes[i] = int16(homeSocket)
-		}
-	default:
-		panic(fmt.Sprintf("memory: unknown placement %v", placement))
 	}
 	m.regions = m.pool[:id+1]
 	return r
 }
 
-// Reset discards every region while keeping their structs and page tables
-// pooled for reuse by subsequent Allocs. Region pointers handed out before
-// the reset are recycled by those later Allocs and must not be retained.
+// Reset discards every region while keeping their structs pooled for reuse
+// by subsequent Allocs. Region pointers handed out before the reset are
+// recycled by those later Allocs and must not be retained.
 func (m *Manager) Reset() {
 	m.regions = m.pool[:0]
 }
@@ -304,11 +308,7 @@ func (m *Manager) Reset() {
 func (m *Manager) TotalBytesOnSocket() []int64 {
 	out := make([]int64, m.sockets)
 	for _, r := range m.regions {
-		for i, h := range r.homes {
-			if h != Unallocated {
-				out[h] += r.pageBytes(i)
-			}
-		}
+		r.AddBytesOnSocket(out)
 	}
 	return out
 }

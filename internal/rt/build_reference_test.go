@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"numadag/internal/graph"
 	"numadag/internal/memory"
@@ -183,7 +184,9 @@ func diffBuilds(got, want *Runtime) error {
 			}
 		}
 	}
-	if got.barriers != want.barriers || !reflect.DeepEqual(got.barrierIDs, want.barrierIDs) ||
+	// slices.Equal, not DeepEqual: a runtime revived from the pool carries
+	// an empty, non-nil barrierIDs where a fresh one has nil.
+	if got.barriers != want.barriers || !slices.Equal(got.barrierIDs, want.barrierIDs) ||
 		got.curWindow != want.curWindow || got.windowCount != want.windowCount ||
 		(got.barrierTask == nil) != (want.barrierTask == nil) ||
 		(got.barrierTask != nil && got.barrierTask.ID != want.barrierTask.ID) {

@@ -10,6 +10,7 @@ import (
 	"numadag/internal/machine"
 	"numadag/internal/memory"
 	"numadag/internal/sim"
+	"numadag/internal/slab"
 	"numadag/internal/xrand"
 )
 
@@ -419,7 +420,7 @@ func (r *Runtime) Barrier() {
 			continue
 		}
 		if len(t.succs) == 0 { // no successor, so no edge to sync yet
-			r.appendSucc(t, sync)
+			t.succs = slab.Append(&r.succSlab, t.succs, sync, succChunk)
 			sync.nDeps++
 			r.tdg.AddEdge(t.ID, sync.ID, 1)
 		}
@@ -559,7 +560,7 @@ func (r *Runtime) addDep(t, from *Task, w int64) {
 	}
 	r.depPos[from.ID] = int32(len(r.deps))
 	r.deps = append(r.deps, graph.Pred{From: from.ID, Weight: w})
-	r.appendSucc(from, t)
+	from.succs = slab.Append(&r.succSlab, from.succs, t, succChunk)
 	t.nDeps++
 }
 
@@ -594,25 +595,6 @@ func (r *Runtime) newTask() *Task {
 	}
 	r.taskArena = r.taskArena[:k+1]
 	return &r.taskArena[k]
-}
-
-// appendSucc appends s to t's successor list. A full list moves to a
-// carved region of succSlab with twice its capacity (exact capacity, so an
-// append can never run into a neighbor's list).
-func (r *Runtime) appendSucc(t, s *Task) {
-	if n := len(t.succs); n == cap(t.succs) {
-		c := max(2, 2*n)
-		k := len(r.succSlab)
-		if cap(r.succSlab)-k < c {
-			r.succSlab = make([]*Task, 0, max(succChunk, 2*cap(r.succSlab), c))
-			k = 0
-		}
-		r.succSlab = r.succSlab[:k+c]
-		grown := r.succSlab[k : k+n : k+c]
-		copy(grown, t.succs)
-		t.succs = grown
-	}
-	t.succs = append(t.succs, s)
 }
 
 // ResidencyBytes returns, per socket, the allocated bytes of the task's

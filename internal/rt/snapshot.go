@@ -93,6 +93,9 @@ func Snap(r *Runtime) (*Snapshot, error) {
 		}
 		ts[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
 	}
+	// The graph is complete and outlives the build: pack its succ lists
+	// out of the submission slab.
+	r.tdg.Compact()
 	return &Snapshot{tdg: r.tdg, regions: rs, tasks: ts}, nil
 }
 

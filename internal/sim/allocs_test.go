@@ -104,3 +104,54 @@ func TestFeedSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("delivered %d entries, want %d", delivered, 22*len(times))
 	}
 }
+
+// TestFleetStepSteadyStateAllocs pins the fleet-scale flush contract: 512
+// Nets share one engine, as a service fleet's machines do, and each step
+// starts a burst of flows on one of them and runs it to completion. A step
+// must allocate nothing, and the engine must call only that Net's flusher,
+// never an idle machine's: per-instant flush work follows the churn, not
+// the fleet size.
+func TestFleetStepSteadyStateAllocs(t *testing.T) {
+	const fleet = 512
+	e := NewEngine()
+	nets := make([]*Net, fleet)
+	paths := make([][]*Resource, fleet)
+	for i := range nets {
+		nets[i] = NewNet(e)
+		paths[i] = []*Resource{nets[i].NewResource("mc", 30), nets[i].NewResource("port", 12)}
+	}
+	active, stray, flushes := 0, 0, 0
+	for i, fn := range e.flushers {
+		e.flushers[i] = func() {
+			if i != active {
+				stray++
+			}
+			flushes++
+			fn()
+		}
+	}
+	k := 0
+	step := func() {
+		active = k * 37 % fleet
+		k++
+		n := nets[active]
+		for j := 0; j < 4; j++ {
+			n.StartFlowCapped(4096+float64(j), paths[active][:1+j%2], 640.0/90, nil)
+		}
+		for e.Step() {
+		}
+	}
+	for i := 0; i < 2*fleet; i++ {
+		step() // warm every Net's flow pool and fill scratch
+	}
+	flushes = 0
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Fatalf("fleet step allocates %v objects per op, want 0", avg)
+	}
+	if stray != 0 {
+		t.Fatalf("%d flusher calls on Nets that did not churn", stray)
+	}
+	if flushes == 0 {
+		t.Fatal("no flusher ran")
+	}
+}

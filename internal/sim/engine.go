@@ -26,7 +26,8 @@
 //     arena ([]event). Slots are recycled through a free list, Timer handles
 //     are (slot, generation) values so Stop after reuse is a safe no-op, and
 //     Stop removes the slot from the heap immediately — the heap never holds
-//     cancelled events, so Step never skips.
+//     cancelled events, so Step never skips. Rearm (Stop plus a fresh At)
+//     and Reschedule move a live event in place with one sift.
 //   - A sorted stream of events (Feed: a service run's job arrivals) keeps
 //     only its head in the heap. Each entry's seq is reserved when the
 //     stream is fed, and the next entry enters the heap as its predecessor
@@ -48,18 +49,24 @@
 //     finishes, reallocation recomputes deadlines, and the one event is
 //     rescheduled. Completion order is identical to the per-flow-timer
 //     design because the engine fires same-instant events in scheduling
-//     order and deadlines are assigned in that same order.
+//     order and deadlines are assigned in that same order. The Net
+//     remembers which flow it armed the event for, so a completion does not
+//     search for it, and progresses its flows at most once per instant, so
+//     same-instant churn pays for one progress pass.
 //   - Reallocation itself is deferred and batched: flow churn marks the Net
-//     dirty and the engine runs registered flush hooks (AddFlusher /
-//     RequestFlush) once per instant, sequentially in registration order,
-//     just before the clock advances — so a task fanning out transfers, or
-//     a wave of same-nanosecond completions, pays for one max-min
-//     redistribution instead of one per event. The water-filling pass walks
-//     the crossing lists, dense per-slot arrays and shrinking worklists
-//     instead of rescanning all resources x all flows per round, executing
-//     bit-for-bit the float operations of the naive ladder it replaced
-//     (kept as a test-only reference and enforced by the equivalence suite
-//     and FuzzReallocate).
+//     dirty and requests its own end-of-instant flusher (AddFlusher returns
+//     the handle RequestFlush takes); the engine runs the requested
+//     flushers once per instant, sequentially in registration order, just
+//     before the clock advances — so a task fanning out transfers, or a
+//     wave of same-nanosecond completions, pays for one max-min
+//     redistribution instead of one per event, and an instant on a fleet
+//     sharing one engine calls only the flushers of the machines that
+//     churned, found by a scan of one request bit per registered flusher.
+//     The water-filling pass walks the crossing lists, dense per-slot
+//     arrays and shrinking worklists instead of rescanning all resources x
+//     all flows per round, executing bit-for-bit the float operations of
+//     the naive ladder it replaced (kept as a test-only reference and
+//     enforced by the equivalence suite and FuzzReallocate).
 //
 // # Determinism contract
 //
@@ -72,12 +79,18 @@
 // optimisation.
 //
 // The whole engine runs on one goroutine. End-of-instant flushers run
-// sequentially in registration order: on a fleet sharing one engine, each
-// machine's Net reallocates in Net-creation order, and a later flusher (the
-// tracer's per-link samplers) reads every Net's settled rates.
+// sequentially in registration order, and only when requested: on a fleet
+// sharing one engine, each churned machine's Net reallocates in
+// Net-creation order, and a later flusher (a tracer's per-machine link
+// sampler, requested by that machine's flow churn) reads the settled
+// rates. Registration order is the only order the determinism contract
+// fixes, and skipping a flusher that nothing requested skips a no-op.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	mathbits "math/bits"
+)
 
 // Time is simulated time in nanoseconds since the start of the run.
 type Time int64
@@ -134,11 +147,17 @@ type Engine struct {
 
 	// End-of-instant flush hooks. A subsystem that batches same-instant
 	// work (the fluid network coalescing flow churn into one reallocation)
-	// registers a flusher once and calls RequestFlush when it has deferred
-	// work; the engine runs the flushers before the clock advances past the
-	// current instant and before reporting the queue drained. Flushers run
-	// sequentially in registration order, keeping runs deterministic.
+	// registers a flusher once and requests it, by the handle AddFlusher
+	// returned, when it has deferred work; the engine runs the requested
+	// flushers before the clock advances past the current instant and
+	// before reporting the queue drained. flushReq is a bitset indexed by
+	// registration number, so an instant calls only the flushers that were
+	// requested — on a fleet sharing one engine, those of the machines that
+	// churned, not the whole fleet's — and they run sequentially in
+	// registration order, keeping runs deterministic. needFlush is set iff
+	// some bit may be set.
 	flushers  []func()
+	flushReq  []uint64
 	needFlush bool
 }
 
@@ -309,6 +328,35 @@ func (e *Engine) Reschedule(t Timer, at Time) bool {
 	return true
 }
 
+// Rearm is t.Stop() followed by e.At(at, fn), returning the new timer:
+// the event gets a fresh scheduling seq, so it ranks after everything
+// already scheduled for the same instant, and t's handle goes stale. A live
+// timer is moved in place, though — one sift instead of a removal and a
+// push. The fluid network re-arms its completion placeholder this way on
+// every flow start and finish.
+func (e *Engine) Rearm(t Timer, at Time, fn func()) Timer {
+	if t.e == nil {
+		return e.At(at, fn)
+	}
+	s := &e.slots[t.slot]
+	if s.gen != t.gen || s.pos < 0 {
+		return e.At(at, fn)
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
+	if fn == nil {
+		panic("sim: scheduling nil event function")
+	}
+	e.seq++
+	s.at, s.seq, s.fn = at, e.seq, fn
+	s.gen++
+	if !e.siftDown(int(s.pos)) {
+		e.siftUp(int(s.pos))
+	}
+	return Timer{e: e, slot: t.slot, gen: s.gen}
+}
+
 // Feed schedules fn(i) at times[i] for every i, exactly as
 //
 //	for i, t := range times { e.At(t, func() { fn(i) }) }
@@ -385,32 +433,64 @@ func (f *feed) push() {
 	e.siftUp(len(e.heap) - 1)
 }
 
-// AddFlusher registers an end-of-instant hook. See Engine.flushers.
-func (e *Engine) AddFlusher(fn func()) {
+// Flusher is the handle AddFlusher returns; RequestFlush takes it.
+type Flusher int32
+
+// AddFlusher registers an end-of-instant hook and returns its handle. See
+// Engine.flushers.
+func (e *Engine) AddFlusher(fn func()) Flusher {
 	if fn == nil {
 		panic("sim: registering nil flusher")
 	}
+	h := Flusher(len(e.flushers))
 	e.flushers = append(e.flushers, fn)
+	if h&63 == 0 {
+		e.flushReq = append(e.flushReq, 0)
+	}
+	return h
 }
 
-// RequestFlush asks the engine to run the registered flushers before the
-// clock next advances (or before the queue is reported drained). Idempotent
-// within an instant; flushers that have nothing deferred must tolerate being
-// called anyway.
-func (e *Engine) RequestFlush() { e.needFlush = true }
+// RequestFlush asks the engine to run flusher h before the clock next
+// advances (or before the queue is reported drained). Idempotent within an
+// instant. A request made while flushers run is honoured in the same pass
+// if h comes later in registration order, and in a further pass otherwise.
+func (e *Engine) RequestFlush(h Flusher) {
+	e.flushReq[h>>6] |= 1 << (h & 63)
+	e.needFlush = true
+}
 
-// runFlush runs the registered flushers if a flush was requested, reporting
-// whether it did. Flushers may schedule new events, including events at the
-// current instant, and may request a further flush (the caller loops).
+// runFlush runs the requested flushers, in registration order, if any flush
+// was requested, reporting whether it did. Flushers may schedule new
+// events, including events at the current instant, and may request further
+// flushes (the caller loops).
 func (e *Engine) runFlush() bool {
 	if !e.needFlush {
 		return false
 	}
 	e.needFlush = false
-	for _, fn := range e.flushers {
-		fn()
+	// Each search starts past the flusher that ran last: one that
+	// re-requests itself or an earlier one waits for the next pass.
+	for i := e.nextFlush(0); i >= 0; i = e.nextFlush(i + 1) {
+		e.flushReq[i>>6] &^= 1 << (i & 63)
+		e.flushers[i]()
 	}
 	return true
+}
+
+// nextFlush returns the smallest requested flusher index >= from, or -1.
+func (e *Engine) nextFlush(from int) int {
+	w := from >> 6
+	if w >= len(e.flushReq) {
+		return -1
+	}
+	bits := e.flushReq[w] >> (from & 63) << (from & 63)
+	for bits == 0 {
+		if w++; w == len(e.flushReq) {
+			return -1
+		}
+		bits = e.flushReq[w]
+	}
+	return w<<6 | mathbits.TrailingZeros64(bits)
 }
 
 // Step executes the next event, advancing the clock to its timestamp. It
@@ -492,5 +572,6 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.nSteps = 0
 	e.feedRest = 0
+	clear(e.flushReq)
 	e.needFlush = false
 }

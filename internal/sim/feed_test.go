@@ -38,11 +38,12 @@ type feedTwin struct {
 	nextAt  int     // label of the next At event a callback schedules
 	streams int
 	resetAt int // the stream entry index whose first delivery resets the engine
+	flusher Flusher
 }
 
 func newFeedTwin(seed uint64, useFeed bool) *feedTwin {
 	w := &feedTwin{e: NewEngine(), useFeed: useFeed, rng: seed | 1, nextAt: atLabels, resetAt: -1}
-	w.e.AddFlusher(func() {
+	w.flusher = w.e.AddFlusher(func() {
 		w.record(-1)
 		if w.rand(4) == 0 {
 			w.schedule(0) // flushed work may queue same-instant events
@@ -91,7 +92,7 @@ func (w *feedTwin) event(label int) {
 			w.e.Reschedule(w.timers[w.rand(len(w.timers))], w.e.Now()+Time(w.rand(3)))
 		}
 	case 7, 8:
-		w.e.RequestFlush()
+		w.e.RequestFlush(w.flusher)
 	}
 }
 

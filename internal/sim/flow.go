@@ -144,9 +144,9 @@ func (f *Flow) Rate() float64 {
 // # Incremental reallocation
 //
 // Starting or finishing a flow invalidates rates, but the recompute is
-// deferred: churn marks the network dirty and parks the completion event on
-// a far-future placeholder, and the engine runs the Net's flush hook once,
-// just before the clock leaves the current instant. That batches
+// deferred: churn marks the network dirty, parks the completion event on a
+// far-future placeholder and requests the Net's own flusher, and the engine
+// runs it once, just before the clock leaves the current instant. That batches
 // same-instant churn — a task fanning out transfers to several home
 // sockets, or a wave of flows finishing at one timestamp, pays for one
 // redistribution instead of one per event. Deferral is observationally
@@ -158,6 +158,12 @@ func (f *Flow) Rate() float64 {
 // moves the placeholder to the real deadline (see noteChurn and
 // TestSameInstantTieOrderMatchesEager). Rates become observable only
 // between instants, or through Flow.Rate/Remaining, which force the flush.
+//
+// Outside the fill, per-event work skips what did not change: the flush
+// picks the due flow while it assigns deadlines and the Net keeps that pick
+// for the completion event, progressAll runs once per instant (rates change
+// only at a flush, at an instant the flows were already progressed to), and
+// noteChurn re-arms the placeholder in place.
 //
 // The fill itself stays a whole-network water-filling pass that executes
 // bit-for-bit the float operations of the naive ladder — the determinism
@@ -228,10 +234,22 @@ type Net struct {
 	// suite swaps in the naive reference ladder.
 	fill func(Time)
 
+	// flusher is the handle of the Net's end-of-instant flush; churn
+	// requests it, and only it, from the engine.
+	flusher Flusher
+
+	// progressedAt is the instant progressAll last ran at (-1 after
+	// creation and Reset). Every active flow has been progressed to it, so
+	// a second call at the same instant has nothing to do.
+	progressedAt Time
+
 	// Single earliest-completion event; completeFn is allocated once so
-	// rescheduling never creates a new closure.
+	// rescheduling never creates a new closure. due is the flow the armed
+	// event belongs to — the earliestDue pick of the flush or armCompletion
+	// that armed it — so onComplete need not search for it again.
 	pending    Timer
 	completeFn func()
+	due        *Flow
 	dcounter   uint64 // deadline assignment counter (see Flow.dseq)
 
 	// TotalBytes accumulates the volume completed through the network,
@@ -256,10 +274,10 @@ type resFill struct {
 // NewNet creates an empty flow network driven by eng and registers its
 // end-of-instant flush with the engine.
 func NewNet(eng *Engine) *Net {
-	n := &Net{eng: eng, batch: true}
+	n := &Net{eng: eng, batch: true, progressedAt: -1}
 	n.completeFn = n.onComplete
 	n.fill = n.waterfill
-	eng.AddFlusher(n.flush)
+	n.flusher = eng.AddFlusher(n.flush)
 	return n
 }
 
@@ -378,9 +396,16 @@ func noop() {}
 func (n *Net) ActiveFlows() int { return len(n.active) }
 
 // progressAll advances every active flow's remaining volume to the current
-// time using its rate since the last update.
+// time using its rate since the last update. Rates change only at a flush,
+// which runs at an instant the flows were already progressed to, and a
+// flow starts progressed to its start instant, so a second call within an
+// instant would find zero elapsed time on every flow and returns at once.
 func (n *Net) progressAll() {
 	now := n.eng.Now()
+	if now == n.progressedAt {
+		return
+	}
+	n.progressedAt = now
 	for _, f := range n.active {
 		elapsed := float64(now - f.lastUpdate)
 		if elapsed > 0 {
@@ -417,19 +442,19 @@ const sentinelTime = Time(math.MaxInt64)
 
 // noteChurn records that a flow just started or finished: rates are stale
 // and must be recomputed before the current instant ends. The armed
-// completion event is replaced by a far-future placeholder, so it can never
-// fire on stale deadlines — and, crucially, the placeholder claims the
-// completion event's scheduling seq here, at the churn point, exactly where
-// the historical eager recompute re-armed its timer. The flush only moves
-// the placeholder to the real deadline (Engine.Reschedule keeps the seq),
-// so a tie between the completion and an event scheduled later in the same
-// instant resolves exactly as it did under one-recompute-per-churn.
+// completion event is re-armed (Engine.Rearm: the same order as Stop and a
+// fresh At) as a far-future placeholder, so it can never fire on stale
+// deadlines — and, crucially, the placeholder claims the completion event's
+// scheduling seq here, at the churn point, exactly where the historical
+// eager recompute re-armed its timer. The flush only moves the placeholder
+// to the real deadline (Engine.Reschedule keeps the seq), so a tie between
+// the completion and an event scheduled later in the same instant resolves
+// exactly as it did under one-recompute-per-churn.
 func (n *Net) noteChurn() {
-	n.pending.Stop()
-	n.pending = n.eng.At(sentinelTime, n.completeFn)
+	n.pending = n.eng.Rearm(n.pending, sentinelTime, n.completeFn)
 	if !n.dirty {
 		n.dirty = true
-		n.eng.RequestFlush()
+		n.eng.RequestFlush(n.flusher)
 	}
 }
 
@@ -453,6 +478,7 @@ func (n *Net) flush() {
 		}
 		n.pending.Stop()
 		n.pending = Timer{}
+		n.due = nil
 		n.flushing = false
 		return
 	}
@@ -482,6 +508,7 @@ func (n *Net) flush() {
 	}
 	// Move the placeholder claimed by the last churn to the real deadline,
 	// keeping its seq (see noteChurn).
+	n.due = best
 	if best == nil {
 		n.pending.Stop()
 		n.pending = Timer{}
@@ -682,9 +709,10 @@ func completionDelay(remaining, rate float64) (dt Time, ok bool) {
 // earliestDue returns the active flow with the smallest (deadline, dseq) —
 // the flow whose dedicated timer would fire next under a one-event-per-flow
 // design. Starved flows have no deadline and are skipped. flush (inline, in
-// its deadline pass), armCompletion and onComplete must all select by this
-// exact rule, or the armed event would belong to a different flow than the
-// one processed when it fires.
+// its deadline pass) and armCompletion must both select by this exact rule
+// and record the pick in Net.due, which onComplete processes; the
+// equivalence suite checks the recorded pick against this scan at every
+// completion.
 func (n *Net) earliestDue() *Flow {
 	var best *Flow
 	for _, f := range n.active {
@@ -703,6 +731,7 @@ func (n *Net) earliestDue() *Flow {
 // earliest flow deadline, if any flow has one.
 func (n *Net) armCompletion() {
 	best := n.earliestDue()
+	n.due = best
 	n.pending.Stop()
 	if best == nil {
 		n.pending = Timer{}
@@ -720,7 +749,8 @@ func (n *Net) onComplete() {
 	n.pending = Timer{}
 	n.progressAll()
 	now := n.eng.Now()
-	due := n.earliestDue()
+	due := n.due
+	n.due = nil
 	if due == nil {
 		return
 	}
@@ -794,7 +824,9 @@ func (n *Net) Reset() {
 	n.nextFlow = 0
 	n.dirty = false
 	n.flushing = false
+	n.progressedAt = -1
 	n.pending = Timer{}
+	n.due = nil
 	n.dcounter = 0
 	n.TotalBytes = 0
 }

@@ -127,11 +127,15 @@ func compareState(t *testing.T, tag string, a, b *scriptRun) {
 }
 
 // runEquivalence executes the script on a production and a reference net in
-// lockstep, comparing at every churn instant and after the drain.
-func runEquivalence(t *testing.T, caps []float64, ops []churnOp) {
+// lockstep, comparing at every churn instant and after the drain. It
+// returns how many completion events fired early on the production net
+// (see checkCompletions).
+func runEquivalence(t *testing.T, caps []float64, ops []churnOp) (early int) {
 	t.Helper()
 	prod := startScript(NewNet, caps, ops)
 	ref := startScript(newReferenceNet, caps, ops)
+	prodEarly := checkCompletions(t, prod.net)
+	checkCompletions(t, ref.net)
 	var last Time = -1
 	for _, op := range ops {
 		if op.at == last {
@@ -158,6 +162,37 @@ func runEquivalence(t *testing.T, caps []float64, ops []churnOp) {
 			t.Fatalf("flow %d never completed", i)
 		}
 	}
+	return *prodEarly
+}
+
+// checkCompletions wraps n's completion event (before any flow arms it)
+// with two checks at every firing. The flow the Net cached when it armed the
+// event must be the one earliestDue picks by scanning every active flow. And
+// if the Net was already progressed at this instant, every active flow must
+// have been progressed to it, or progressAll's once-per-instant shortcut
+// would skip elapsed time. The returned counter counts the early firings:
+// ceil rounding left the due flow bytes to move, so onComplete pushed its
+// deadline out and re-armed instead of finishing it.
+func checkCompletions(t *testing.T, n *Net) *int {
+	early := new(int)
+	n.completeFn = func() {
+		if want := n.earliestDue(); n.due != want {
+			t.Errorf("t=%v: cached due flow %p, earliestDue %p", n.eng.Now(), n.due, want)
+		}
+		if now := n.eng.Now(); n.progressedAt == now {
+			for _, f := range n.active {
+				if f.lastUpdate != now {
+					t.Errorf("t=%v: flow %d progressed to %v after progressAll ran at this instant", now, f.id, f.lastUpdate)
+				}
+			}
+		}
+		due := n.due
+		n.onComplete()
+		if due != nil && !due.finished {
+			*early++
+		}
+	}
+	return early
 }
 
 // Machine-model constants: the bullion's per-socket controller and port
@@ -412,6 +447,34 @@ func TestSameInstantTieOrderMatchesEager(t *testing.T) {
 	}
 	if prod[0] != "flow-done" {
 		t.Fatalf("completion lost its tie rank: order %v, want flow-done first", prod)
+	}
+}
+
+// TestEarlyCompletionEquivalence drives 0.1-exabyte flows, whose
+// completion deadlines lie beyond 2^53 ns: there the float quotient
+// remaining/rate is already an integer, its ceil can fall short of the
+// exact time, and the completion event fires with bytes left. onComplete
+// then pushes that flow's deadline out and re-arms for whichever flow is
+// now due — the only path where the cached due flow is picked by
+// armCompletion rather than by the flush. The run must hit that path and
+// still match the reference at every state.
+func TestEarlyCompletionEquivalence(t *testing.T) {
+	caps := []float64{0.409, 0.396, 0.422, 0.37}
+	early := 0
+	for spread := 1; spread <= 12; spread++ {
+		var ops []churnOp
+		for i := 0; i < 24; i++ {
+			ops = append(ops, churnOp{
+				at:   Time(i/3) * 1e15,
+				vol:  1e17 + float64(i*spread)*97777,
+				path: []int{i % 4, (i + 1 + i/4) % 4}[:1+i%2],
+				maxR: math.Inf(1),
+			})
+		}
+		early += runEquivalence(t, caps, ops)
+	}
+	if early == 0 {
+		t.Fatal("no completion fired early: the re-arm path went untested")
 	}
 }
 

@@ -40,10 +40,15 @@ import (
 type Tracer struct {
 	mu    sync.Mutex
 	byPid map[int]*proc
+	// unsampled lists, per engine, the attached machines whose counters
+	// have not been sampled yet (see machObserver.churn).
+	unsampled map[*sim.Engine][]*machObserver
 }
 
 // NewTracer returns an empty tracer ready for AttachMachine.
-func NewTracer() *Tracer { return &Tracer{byPid: make(map[int]*proc)} }
+func NewTracer() *Tracer {
+	return &Tracer{byPid: make(map[int]*proc), unsampled: make(map[*sim.Engine][]*machObserver)}
+}
 
 // span is one closed ph=X event.
 type span struct {
@@ -178,32 +183,53 @@ func (tr *Tracer) ensureProc(pid int) *proc {
 // over m. The observer records task spans per core, transfer spans per core
 // group, and steal instants; independently of it, the tracer hooks m's fluid
 // network for flow spans and registers an end-of-instant engine flusher
-// sampling per-link utilization counters.
+// sampling per-link utilization counters, which every flow start and
+// finish on m requests.
 //
 // Attach after the machine (and, on a shared engine, all machines) is
 // constructed, so the sampling flusher runs after the network's own
 // end-of-instant reallocation and reads settled rates.
 func (tr *Tracer) AttachMachine(m *machine.Machine, pid int, name string) rt.Observer {
+	eng := m.Engine()
 	tr.mu.Lock()
 	if _, dup := tr.byPid[pid]; dup {
 		tr.mu.Unlock()
 		panic(fmt.Sprintf("trace: pid %d attached twice", pid))
 	}
-	p := newProc(pid, name, m.Cores(), m.Sockets())
-	tr.byPid[pid] = p
+	obs := &machObserver{tr: tr, m: m, p: newProc(pid, name, m.Cores(), m.Sockets())}
+	obs.sampler = eng.AddFlusher(obs.sample)
+	tr.byPid[pid] = obs.p
+	tr.unsampled[eng] = append(tr.unsampled[eng], obs)
 	tr.mu.Unlock()
 
-	obs := &machObserver{tr: tr, p: p, m: m}
 	m.Net().SetFlowHooks(obs.flowStart, obs.flowEnd)
-	m.Engine().AddFlusher(obs.sample)
 	return obs
 }
 
 // machObserver binds one attached machine's callbacks to its proc buffer.
 type machObserver struct {
-	tr *Tracer
-	p  *proc
-	m  *machine.Machine
+	tr      *Tracer
+	p       *proc
+	m       *machine.Machine
+	sampler sim.Flusher // the handle of sample on m's engine
+}
+
+// churn requests the counter sample for the end of the current instant: a
+// flow started or finished on m, so m's network reallocates before then
+// and its link rates may change. Rates change at no other time, so no
+// other instant can have a sample to emit — except each machine's first,
+// which emits even unchanged (zero) rates: those are taken at the first
+// churn instant on the engine, on whichever attached machine it happens.
+// Called with tr.mu held.
+func (o *machObserver) churn() {
+	eng := o.m.Engine()
+	eng.RequestFlush(o.sampler)
+	if u, ok := o.tr.unsampled[eng]; ok {
+		for _, w := range u {
+			eng.RequestFlush(w.sampler)
+		}
+		delete(o.tr.unsampled, eng)
+	}
 }
 
 var _ rt.Observer = (*machObserver)(nil)
@@ -251,6 +277,7 @@ func (o *machObserver) TaskStolen(t *rt.Task, victim, thief int) {
 func (o *machObserver) flowStart(f *sim.Flow) {
 	now := o.m.Engine().Now()
 	o.tr.mu.Lock()
+	o.churn()
 	path := f.Path()
 	o.p.flows[f] = flowOpen{ts: now, key: path[len(path)-1].Name(), bytes: f.Volume()}
 	o.tr.mu.Unlock()
@@ -262,6 +289,7 @@ func (o *machObserver) flowStart(f *sim.Flow) {
 func (o *machObserver) flowEnd(f *sim.Flow) {
 	now := o.m.Engine().Now()
 	o.tr.mu.Lock()
+	o.churn()
 	p := o.p
 	fo, ok := p.flows[f]
 	if !ok {
@@ -281,8 +309,8 @@ func (o *machObserver) flowEnd(f *sim.Flow) {
 // sample runs as an end-of-instant engine flusher, after the network's own
 // reallocation flush: it reads the settled per-resource rates and emits
 // "mem util" / "link util" counter samples, deduplicated against the last
-// emitted values (flushes fire at every churn instant on the shared engine;
-// most leave a given machine's links unchanged).
+// emitted values (a reallocation often leaves a given group of links
+// unchanged).
 func (o *machObserver) sample() {
 	now := o.m.Engine().Now()
 	mcs, ports := o.m.Controllers(), o.m.Ports()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 
@@ -208,5 +209,42 @@ func TestTracerSpansAndGanttErrors(t *testing.T) {
 	}
 	if err := tr.WriteGantt(&bytes.Buffer{}, 42, 40); err == nil {
 		t.Error("WriteGantt on an unattached pid should error")
+	}
+}
+
+// TestSharedEngineCounterSamples pins when link counters are sampled on an
+// engine shared by several machines: a machine's sampler runs only at
+// instants where its own flows start or finish, except its first sample,
+// which records its (zero) rates at the first churn instant on the engine,
+// whichever attached machine churned.
+func TestSharedEngineCounterSamples(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := NewTracer()
+	ms := []*machine.Machine{
+		machine.New(machine.TwoSocketXeon(), eng),
+		machine.New(machine.TwoSocketXeon(), eng),
+		machine.New(machine.TwoSocketXeon(), eng),
+	}
+	for i, m := range ms {
+		tr.AttachMachine(m, i, "m")
+	}
+	mc := func(m *machine.Machine) []*sim.Resource { return m.Controllers()[:1] }
+	eng.At(100, func() { ms[1].Net().StartFlow(1e6, mc(ms[1]), nil) })
+	eng.At(200, func() { ms[2].Net().StartFlow(1e6, mc(ms[2]), nil) })
+	eng.Run()
+	at := func(pid int) []sim.Time {
+		var ts []sim.Time
+		for _, c := range tr.byPid[pid].counters {
+			if c.name == "mem util" {
+				ts = append(ts, c.ts)
+			}
+		}
+		return ts
+	}
+	end1 := 100 + sim.Time(1e6/ms[1].Controllers()[0].Capacity())
+	for pid, want := range [][]sim.Time{{100}, {100, end1}, {100, 200, end1 + 100}} {
+		if got := at(pid); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("machine %d: mem util samples at %v, want %v", pid, got, want)
+		}
 	}
 }

@@ -49,8 +49,9 @@ func fileFactory(s Spec, _ apps.Scale, _ uint64) (Workload, error) {
 }
 
 // Import limits. Node weights become float64 task flops, exact only up to
-// 2^53; each edge becomes a region whose page table is allocated up front,
-// so an edge may carry at most 1 TiB.
+// 2^53; each edge becomes a region whose bytes move as float64 flow
+// volumes, so an edge may carry at most 1 TiB, which keeps volumes, and
+// their sums over thousands of edges, exact too.
 const (
 	maxImportNodeWeight = int64(1) << 53
 	maxImportEdgeBytes  = int64(1) << 40
